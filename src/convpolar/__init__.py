@@ -9,9 +9,8 @@ from .construction import (
     build_cvps,
     genie_reliability,
 )
-from .cvpt import build_matrix, encode, layer_split
+from .cvpt import encode, layer_split
 from .decoder import (
-    SoftInput,
     ml_decode_bruteforce,
     sc_decode,
     scl_decode,
@@ -21,7 +20,6 @@ from .decoder import (
 from .distance import (
     DeltaTable,
     SubchannelWeights,
-    arikan_row_weight,
     compute_delta_tables,
     compute_weights,
     min_distance_bound,
@@ -30,51 +28,44 @@ from .erasure import (
     coset_min_weight,
     cross_check_coset_weights,
     cross_check_delta_tables,
+    cross_check_tau,
     exhaustive_min_distance,
     min_erasures,
     pattern_preimage,
     recoverable_patterns,
 )
-from .gf2 import BitMatrix, BitVector, mat_mul, mat_vec_mul, rank, submatrix
 from .subspaces import Subspace, build_tau_tables, enumerate_subspaces
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitMatrix",
-    "BitVector",
     "ChannelModel",
     "CodeSpec",
     "ConstructionResult",
     "DeltaTable",
     "ReliabilityProfile",
     "SimResult",
-    "SoftInput",
     "Subspace",
     "SubchannelWeights",
-    "arikan_row_weight",
     "build_cvpc",
     "build_cvps",
-    "build_matrix",
     "build_tau_tables",
     "compute_delta_tables",
     "compute_weights",
     "coset_min_weight",
     "cross_check_coset_weights",
     "cross_check_delta_tables",
+    "cross_check_tau",
     "encode",
     "enumerate_subspaces",
     "exhaustive_min_distance",
     "genie_reliability",
     "layer_split",
-    "mat_mul",
-    "mat_vec_mul",
     "min_distance_bound",
     "min_erasures",
     "ml_decode_bruteforce",
     "parse_codespec",
     "pattern_preimage",
-    "rank",
     "recoverable_patterns",
     "run_fer",
     "sc_decode",
@@ -82,7 +73,6 @@ __all__ = [
     "scl_decode_batch",
     "serialize_codespec",
     "subchannel_prob_bruteforce",
-    "submatrix",
     "transmit",
     "trial_rng",
 ]

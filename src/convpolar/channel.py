@@ -9,9 +9,13 @@ CDF applied to uniforms, which keeps the draw count per trial fixed.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -42,6 +46,8 @@ class ChannelModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise ValueError(f"channel parameter {self.param} is not finite")
         if self.kind == "bec" and not 0.0 <= self.param <= 1.0:
             raise ValueError(f"erasure probability {self.param} outside [0, 1]")
         if self.rate is not None and not 0.0 < self.rate <= 1.0:
@@ -59,7 +65,13 @@ class ChannelModel:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The dedicated generator of one trial: Philox keyed by (seed, trial)."""
+    """The dedicated generator of one trial: Philox keyed by (seed, trial).
+
+    Both must lie in [0, 2**64).
+    """
+    for name, value in (("seed", seed), ("trial", trial)):
+        if not 0 <= value < 1 << 64:
+            raise ValueError(f"{name} {value} outside [0, 2**64)")
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -142,48 +154,34 @@ def run_fer(
     """
     if max_trials < 1:
         raise ValueError("max_trials must be >= 1")
+    if batch_size < 1 or threads < 1:
+        raise ValueError("batch_size and threads must be >= 1")
     if channel.kind == "awgn" and channel.rate is None:
         channel = channel.with_rate(code.k / code.n)
     start = time.time()
-    ranges = [
+    todo = (
         range(lo, min(lo + batch_size, max_trials))
         for lo in range(0, max_trials, batch_size)
-    ]
-    errors = 0
-    done = 0
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            window = 2 * threads
-            futures = []
-            idx = 0
-            stop = False
-            while (futures or idx < len(ranges)) and not stop:
-                while idx < len(ranges) and len(futures) < window:
-                    futures.append(
-                        pool.submit(
-                            _simulate_batch, code, channel, list_size, seed, ranges[idx]
-                        )
-                    )
-                    idx += 1
-                flags = futures.pop(0).result()
-                for bad in flags:
-                    done += 1
-                    errors += int(bad)
-                    if target_errors and errors >= target_errors:
-                        stop = True
-                        break
-    else:
-        for r in ranges:
-            flags = _simulate_batch(code, channel, list_size, seed, r)
-            hit = False
-            for bad in flags:
-                done += 1
-                errors += int(bad)
-                if target_errors and errors >= target_errors:
-                    hit = True
-                    break
-            if hit:
+    )
+    errors = done = 0
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        submit = partial(
+            pool.submit, _simulate_batch, code, channel, list_size, seed
+        )
+        # one batch per worker in flight, counted in trial order
+        queued = deque(map(submit, itertools.islice(todo, threads)))
+        while queued:
+            hits = errors + np.cumsum(queued.popleft().result())
+            if target_errors and hits[-1] >= target_errors:
+                stop = int(np.argmax(hits >= target_errors))
+                done += stop + 1
+                errors = int(hits[stop])
+                for future in queued:  # past the stop point: never read
+                    future.cancel()
                 break
+            done += hits.size
+            errors = int(hits[-1])
+            queued.extend(map(submit, itertools.islice(todo, 1)))
     return SimResult(
         trials=done,
         frame_errors=errors,

@@ -23,6 +23,7 @@ from .erasure import (
     coset_min_weight,
     cross_check_coset_weights,
     cross_check_delta_tables,
+    cross_check_tau,
     exhaustive_min_distance,
     min_erasures,
     pattern_preimage,
@@ -124,10 +125,10 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     spec = _load_spec(args.spec)
     llr = _read_llrs(sys.stdin, spec.n)
-    results = scl_decode(spec, llr, args.list)
+    paths, metrics = scl_decode(spec, llr, args.list)
     info = list(spec.info_set)
-    for u, metric in results[: args.top]:
-        bits = " ".join(str(u[i]) for i in info)
+    for u, metric in zip(paths[: args.top], metrics):
+        bits = " ".join(str(b) for b in u[info])
         print(f"{bits} {metric:.12g}")
     return 0
 
@@ -210,29 +211,13 @@ def _cmd_oracle(args) -> int:
         print(f"checked={rep.checked} mismatches={len(rep.mismatches)}")
         return 0 if rep.ok else 2
     else:  # verify-tau
-        from .subspaces import subspace_index
-
+        rep = cross_check_tau()
+        if not rep.ok:
+            n, phi, erased = rep.mismatches[0]
+            print(f"mismatch at n={n} phi={phi} erased={erased}", file=sys.stderr)
+            return 2
         tables = build_tau_tables()
         lattice = enumerate_subspaces(3)
-        index = subspace_index(3)
-        from .erasure import recoverable_patterns as chi
-
-        for n in (2, 4, 8):
-            for phi in range(n):
-                tab = tables.for_phase(phi)
-                psi = (phi + 1) // 2 - 1
-                for emask in range(1 << n):
-                    e = frozenset(i for i in range(n) if (emask >> i) & 1)
-                    ex = frozenset(i for i in e if i < n // 2)
-                    ez = frozenset(i - n // 2 for i in e if i >= n // 2)
-                    sx = chi(n // 2, psi, 3, ex)
-                    sz = chi(n // 2, psi, 3, ez)
-                    whole = chi(n, phi, 3, e)
-                    composed = lattice[tab[index[sx.mask], index[sz.mask]]]
-                    if composed != whole:
-                        print(f"mismatch at n={n} phi={phi} erased={sorted(e)}",
-                              file=sys.stderr)
-                        return 2
         w = csv.writer(sys.stdout)
         w.writerow(["i", "j", "parity", "mask"])
         for parity, tab in (("even", tables.even), ("odd", tables.odd)):

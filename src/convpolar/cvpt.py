@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import BitMatrix
-
-__all__ = ["layer_split", "encode", "build_matrix", "transform_row_ints"]
+__all__ = ["layer_split", "encode", "transform_row_ints"]
 
 
 def _as_bits(u) -> np.ndarray:
@@ -68,13 +66,6 @@ def encode(u) -> np.ndarray:
         nxt[:, 1::2] = z
         blocks = nxt
     return blocks.reshape(*lead, n)
-
-
-def build_matrix(n: int) -> BitMatrix:
-    """Transform matrix as a BitMatrix: row i is encode(e_i)."""
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 1, got {n}")
-    return BitMatrix.from_array(encode(np.eye(n, dtype=np.uint8)))
 
 
 def transform_row_ints(n: int) -> list[int]:

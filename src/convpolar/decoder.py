@@ -22,16 +22,13 @@ list paths in one set of numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .codespec import CodeSpec
 from .cvpt import encode
-from .gf2 import BitVector
 
 __all__ = [
-    "SoftInput",
     "leaf_probabilities",
     "subchannel_prob_bruteforce",
     "ml_decode_bruteforce",
@@ -45,30 +42,12 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class SoftInput:
-    """Per-symbol log-likelihood ratios ln(W(0|y_i)/W(1|y_i)).
+def _as_llr_batch(llrs) -> np.ndarray:
+    """LLRs ln(W(0|y)/W(1|y)) as a (B, n) batch.
 
     +inf marks a known 0, -inf a known 1, 0 an erasure.  NaN is rejected.
     """
-
-    llr: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.llr, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("llr must be a non-empty 1-d sequence")
-        if np.isnan(arr).any():
-            raise ValueError("llr contains NaN")
-        object.__setattr__(self, "llr", arr)
-
-    @property
-    def n(self) -> int:
-        return self.llr.size
-
-
-def _as_llr_batch(soft) -> np.ndarray:
-    arr = np.asarray(getattr(soft, "llr", soft), dtype=np.float64)
+    arr = np.asarray(llrs, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
@@ -101,10 +80,7 @@ def subchannel_prob_bruteforce(n: int, phi: int, u_prefix, soft) -> float:
     """
     if n < 1 or n & (n - 1) or n > 16:
         raise ValueError(f"n must be a power of two <= 16, got {n}")
-    prefix = np.asarray(
-        list(u_prefix) if isinstance(u_prefix, BitVector) else u_prefix,
-        dtype=np.uint8,
-    )
+    prefix = np.asarray(u_prefix, dtype=np.uint8)
     if not 0 <= phi < n or prefix.shape != (phi + 1,):
         raise ValueError(f"prefix length {prefix.size} does not match phase {phi}")
     llr = _as_llr_batch(soft)[0]
@@ -442,36 +418,35 @@ def scl_decode_batch(
     return paths, metrics
 
 
-def scl_decode(
-    code: CodeSpec, soft, list_size: int, track_reference=None
-):
-    """List decode one block; candidates as (decisions, metric), best first.
+def scl_decode(code: CodeSpec, soft, list_size: int, track_reference=None):
+    """List decode one LLR vector: row 0 of :func:`scl_decode_batch`.
 
-    With ``track_reference`` set to a full decision vector, also returns a
-    diagnostics dict with that path's worst pre-prune rank and whether it
-    survived to the final list.
+    Returns (paths (L', n) uint8, metrics (L',)), best first.  With
+    ``track_reference`` set to a full decision vector, returns that pair plus
+    a diagnostics dict with the reference path's worst pre-prune rank and
+    whether it survived to the final list.
     """
-    batch = _as_llr_batch(soft)
+    llr = np.asarray(soft, dtype=np.float64)
+    if llr.ndim != 1:
+        raise ValueError(f"expected one llr vector, got shape {llr.shape}")
     track = None
     if track_reference is not None:
-        track = np.asarray(list(track_reference), dtype=np.uint8)
+        track = np.asarray(track_reference, dtype=np.uint8)
         if track.shape != (code.n,):
             raise ValueError("reference path must be a full decision vector")
-    paths, metrics, diags = _run_list_decode(code, batch, list_size, track)
-    out = [
-        (BitVector.from_ints(paths[0, i].tolist()), float(metrics[0, i]))
-        for i in range(paths.shape[1])
-    ]
+    paths, metrics, diags = _run_list_decode(
+        code, _as_llr_batch(llr), list_size, track
+    )
     if track is None:
-        return out
-    return out, {
+        return paths[0], metrics[0]
+    return (paths[0], metrics[0]), {
         "max_rank": int(diags[0][0]),
         "in_final_list": bool(diags[1][0]),
     }
 
 
-def sc_decode(code: CodeSpec, soft) -> BitVector:
-    """Successive cancellation: the list decoder at list size one."""
+def sc_decode(code: CodeSpec, soft) -> np.ndarray:
+    """Successive cancellation: the list decoder's path at list size one."""
     return scl_decode(code, soft, 1)[0][0]
 
 

@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from .subspaces import (
-    Subspace,
     build_tau_tables,
     enumerate_subspaces,
     left_edge_shift,
@@ -35,11 +34,13 @@ __all__ = [
     "compute_delta_tables",
     "compute_weights",
     "min_distance_bound",
-    "arikan_row_weight",
 ]
 
 _MAX_LEVELS = 24
-_CHUNK_ROWS = 1 << 13
+# Tables are int32 with _INF for "unrecoverable": weights are at most
+# 2**_MAX_LEVELS, so finite sums stay below _INF and two _INF still fit.
+_INF = np.int32(1 << 28)
+_CHUNK_ROWS = 1 << 9
 
 _LATTICE = enumerate_subspaces(3)
 _FULL_IDX = subspace_index(3)[(1 << 8) - 1]
@@ -80,25 +81,27 @@ class DeltaTable:
                 raise ValueError("boundary table entries outside the shifted range")
         object.__setattr__(self, "entries", e)
 
-    def value(self, s: Subspace) -> float:
-        return float(self.entries[subspace_index(3)[s.mask]])
-
 
 @dataclass(frozen=True, eq=False)
 class SubchannelWeights:
-    """Exact per-phase minimum weights for the length 2**m transform."""
+    """Exact per-phase minimum weights for the length 2**m transform.
+
+    ``d`` is stored as int32: every weight is at most n = 2**m <= 2**24.
+    """
 
     m: int
     d: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        if not 0 <= self.m <= _MAX_LEVELS:
+            raise ValueError(f"m must be in 0..{_MAX_LEVELS}, got {self.m}")
         d = np.asarray(self.d, dtype=np.int64)
         n = 1 << self.m
         if d.shape != (n,):
             raise ValueError(f"expected {n} weights, got shape {d.shape}")
         if d[0] != 1 or np.any(d < 1) or np.any(d > n):
             raise ValueError("weights out of range")
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", d.astype(np.int32))
 
     @property
     def n(self) -> int:
@@ -131,69 +134,83 @@ def left_edge_table(table: np.ndarray) -> np.ndarray:
     t = np.asarray(table, dtype=np.float64)
     if t.shape != (16,):
         raise ValueError(f"expected 16 entries, got shape {t.shape}")
-    out = np.full(16, np.inf)
-    np.minimum.at(out, _shift_index(), t)
+    return _left_edge(t, np.inf)
+
+
+def _left_edge(table: np.ndarray, unreachable) -> np.ndarray:
+    out = np.full(16, unreachable, dtype=table.dtype)
+    np.minimum.at(out, _shift_index(), table)
     return out
+
+
+def _to_int(table: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(table), table, _INF).astype(np.int32)
+
+
+def _to_float(table: np.ndarray) -> np.ndarray:
+    return np.where(table < _INF, table, np.inf)
 
 
 @lru_cache(maxsize=None)
 def _parity_reducer(parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort order, segment starts and segment targets for one tau table."""
+    """Left and right table indices of the 256 pairs, sorted by tau target,
+    and the start of each target's segment."""
     tau = build_tau_tables()
     flat = (tau.odd if parity else tau.even).ravel().astype(np.intp)
     order = np.argsort(flat, kind="stable")
     tgt = flat[order]
     starts = np.flatnonzero(np.r_[True, tgt[1:] != tgt[:-1]])
-    return order, starts, tgt[starts]
+    assert np.array_equal(tgt[starts], np.arange(16))
+    return order // 16, order % 16, starts
 
 
-def _combine(prev: np.ndarray, parity: int) -> np.ndarray:
-    """Pairwise-sum tables with themselves and group-minimize by tau target."""
-    order, starts, present = _parity_reducer(parity)
-    rows = prev.shape[0]
-    out = np.full((rows, 16), np.inf)
-    for lo in range(0, rows, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, rows)
-        block = prev[lo:hi]
-        sums = (block[:, :, None] + block[:, None, :]).reshape(hi - lo, 256)
-        out[lo:hi, present] = np.minimum.reduceat(sums[:, order], starts, axis=1)
-    return out
+def _combine(prev: np.ndarray, parity: int, out: np.ndarray) -> None:
+    """Pairwise-sum the entries of each column of (16, rows) tables and
+    minimize the sums into ``out`` by tau target."""
+    left, right, starts = _parity_reducer(parity)
+    for lo in range(0, prev.shape[1], _CHUNK_ROWS):
+        block = prev[:, lo : lo + _CHUNK_ROWS]
+        sums = block[left]
+        sums += block[right]
+        np.minimum.reduceat(sums, starts, axis=0, out=out[:, lo : lo + _CHUNK_ROWS])
 
 
-def _advance(minus1: np.ndarray, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    count = tables.shape[0]
-    prev = np.vstack([minus1[None, :], tables])
-    new = np.empty((2 * count, 16))
-    new[0::2] = _combine(prev[0:count], parity=0)
-    new[1::2] = _combine(prev[1 : count + 1], parity=1)
-    return left_edge_table(new[0]), new
+def _advance(tables: np.ndarray) -> np.ndarray:
+    count = tables.shape[1] - 1
+    new = np.empty((16, 2 * count + 1), dtype=np.int32)
+    _combine(tables[:, :count], 0, new[:, 1::2])
+    _combine(tables[:, 1:], 1, new[:, 2::2])
+    np.minimum(new, _INF, out=new)
+    new[:, 0] = _left_edge(new[:, 1], _INF)
+    return new
 
 
-def _run_levels(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _run_levels(m: int) -> np.ndarray:
+    """Tables of phases -1 .. 2**m - 1 as int32 columns, _INF if unreachable."""
     if not 0 <= m <= _MAX_LEVELS:
         raise ValueError(f"m must be in 0..{_MAX_LEVELS}, got {m}")
-    tables = base_table()[None, :]
-    minus1 = left_edge_table(tables[0])
+    phase0 = _to_int(base_table())
+    tables = np.stack([_left_edge(phase0, _INF), phase0], axis=1)
     for _ in range(m):
-        minus1, tables = _advance(minus1, tables)
-    assert np.all(tables[:, _FULL_IDX] == tables.min(axis=1))
-    return minus1, tables
+        tables = _advance(tables)
+    assert np.all(tables[_FULL_IDX, 1:] == tables[:, 1:].min(axis=0))
+    return tables
 
 
 def compute_delta_tables(m: int) -> tuple[DeltaTable, ...]:
     """All minimum-erasure tables for n = 2**m, phases -1 .. n-1 in order."""
-    minus1, tables = _run_levels(m)
-    out = [DeltaTable(-1, minus1)]
-    out.extend(DeltaTable(phi, row) for phi, row in enumerate(tables))
-    return tuple(out)
+    tables = _to_float(_run_levels(m).T)
+    return tuple(DeltaTable(phi, row) for phi, row in enumerate(tables, start=-1))
 
 
 def compute_weights(m: int) -> SubchannelWeights:
     """Exact subchannel weights d[0..n-1] for the length 2**m transform."""
-    _, tables = _run_levels(m)
-    d = tables[:, _DECIDABLE_COLS].min(axis=1)
-    assert np.all(np.isfinite(d)) and d[0] == 1
-    return SubchannelWeights(m, d.astype(np.int64))
+    tables = _run_levels(m)[:, 1:]
+    d = tables[_DECIDABLE_COLS[0]].copy()
+    for col in _DECIDABLE_COLS[1:]:
+        np.minimum(d, tables[col], out=d)
+    assert np.all(d < _INF) and d[0] == 1
+    return SubchannelWeights(m, d)
 
 
 def min_distance_bound(weights: SubchannelWeights, info_set) -> int:
@@ -205,9 +222,3 @@ def min_distance_bound(weights: SubchannelWeights, info_set) -> int:
         raise ValueError("info set index out of range")
     return int(weights.d[info].min())
 
-
-def arikan_row_weight(i: int) -> int:
-    """Row weight of the Kronecker-power lower-triangular kernel, 2**popcount(i)."""
-    if i < 0:
-        raise ValueError(f"negative index {i}")
-    return 1 << int(i).bit_count()

@@ -19,13 +19,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codespec import CodeSpec
-from .cvpt import build_matrix, transform_row_ints
-from .gf2 import BitVector, in_column_space, submatrix
-from .subspaces import Subspace, enumerate_subspaces
+from .cvpt import transform_row_ints
+from .subspaces import Subspace, build_tau_tables, enumerate_subspaces, subspace_index
 
 __all__ = [
-    "CosetSpec",
     "CrossCheckReport",
+    "Span",
     "recoverable_patterns",
     "pattern_preimage",
     "min_erasures",
@@ -34,34 +33,13 @@ __all__ = [
     "coset_weight_matches_pattern_bound",
     "cross_check_coset_weights",
     "cross_check_delta_tables",
+    "cross_check_tau",
 ]
 
 _MAX_N_MEMBERSHIP = 64
 _MAX_N_ENUM = 16
 _MAX_FREE_BITS = 32
 _GRAY_CHUNK = 1 << 22
-
-
-@dataclass(frozen=True)
-class CosetSpec:
-    """Input cosets: leading symbols zero, one window parity forced to one."""
-
-    n: int
-    phi: int
-    p: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.n & (self.n - 1):
-            raise ValueError(f"n must be a power of two, got {self.n}")
-        if not 0 <= self.phi < self.n:
-            raise ValueError(f"phase {self.phi} out of range")
-        p = tuple(self.p)
-        if not p or any(b not in (0, 1) for b in p) or not any(p):
-            raise ValueError("p must be a nonzero bit tuple")
-        object.__setattr__(self, "p", p)
-
-    def min_weight(self) -> int | float:
-        return coset_min_weight(self.n, self.phi, self.p)
 
 
 @dataclass
@@ -75,6 +53,45 @@ class CrossCheckReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
+
+
+class Span:
+    """Incremental row span over GF(2), kept in reduced echelon form.
+
+    Vectors are int bitsets.  The pointwise oracle uses this elimination,
+    independent of the bulk table's, so the two can check each other.
+    """
+
+    def __init__(self, vectors: Iterable[int] = ()) -> None:
+        self._pivots: dict[int, int] = {}
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, v: int) -> int:
+        """Reduce ``v`` against the span; the result is 0 iff v is in it."""
+        for lead in sorted(self._pivots, reverse=True):
+            if (v >> lead) & 1:
+                v ^= self._pivots[lead]
+        return v
+
+    def add(self, v: int) -> bool:
+        """Insert ``v``; returns True if it enlarged the span."""
+        v = self.reduce(v)
+        if v == 0:
+            return False
+        lead = v.bit_length() - 1
+        for key in list(self._pivots):
+            if (self._pivots[key] >> lead) & 1:
+                self._pivots[key] ^= v
+        self._pivots[lead] = v
+        return True
+
+    def __contains__(self, v: int) -> bool:
+        return self.reduce(v) == 0
+
+    @property
+    def dim(self) -> int:
+        return len(self._pivots)
 
 
 def _erasure_mask(n: int, erased: Iterable[int]) -> int:
@@ -114,16 +131,17 @@ def recoverable_patterns(n: int, phi: int, j: int, erased: Iterable[int]) -> Sub
         for key in inner.keys():
             mask |= 1 << (key << lead)
         return Subspace(j, mask)
-    k = n - phi
-    jc = min(j, k)
-    g = submatrix(
-        build_matrix(n),
-        excluded_rows=range(phi),
-        excluded_cols=[c for c in range(n) if (emask >> c) & 1],
+    jc = min(j, n - phi)
+    rows = transform_row_ints(n)[phi:]
+    # surviving columns as bitsets over rows phi.. (bit r = row phi + r)
+    span = Span(
+        sum(((row >> c) & 1) << r for r, row in enumerate(rows))
+        for c in range(n)
+        if not (emask >> c) & 1
     )
     mask = 1
     for key in range(1, 1 << jc):
-        if in_column_space(g, BitVector(key, k)):
+        if key in span:
             mask |= 1 << key
     if jc < j:
         lifted = 0
@@ -271,8 +289,13 @@ def coset_min_weight(n: int, phi: int, p: Sequence[int]) -> int | float:
     block end read zero, so the coset is empty (weight +inf) when p has no
     in-range support.
     """
-    spec = CosetSpec(n, phi, tuple(int(b) for b in p))
-    n, phi, p = spec.n, spec.phi, spec.p
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"n must be a power of two, got {n}")
+    if not 0 <= phi < n:
+        raise ValueError(f"phase {phi} out of range")
+    p = tuple(int(b) for b in p)
+    if not p or any(b not in (0, 1) for b in p) or not any(p):
+        raise ValueError("p must be a nonzero bit tuple")
     support = [t for t, b in enumerate(p) if b and phi + t < n]
     if not support:
         return math.inf
@@ -384,4 +407,34 @@ def cross_check_delta_tables(m: int) -> CrossCheckReport:
                 report.checked += 1
             else:
                 report.mismatches.append((table.phi, s.mask, fast, oracle))
+    return report
+
+
+def cross_check_tau() -> CrossCheckReport:
+    """Check the composition tables against the oracle for n = 2, 4, 8.
+
+    For every phase and erasure set, composing the recoverable-pattern
+    subspaces of the two half-blocks must give the whole block's subspace.
+    Mismatches are (n, phi, sorted erased positions).
+    """
+    tables = build_tau_tables()
+    lattice = enumerate_subspaces(3)
+    index = subspace_index(3)
+    report = CrossCheckReport()
+    for n in (2, 4, 8):
+        half = n // 2
+        for phi in range(n):
+            tab = tables.for_phase(phi)
+            psi = (phi + 1) // 2 - 1
+            for emask in range(1 << n):
+                e = [i for i in range(n) if (emask >> i) & 1]
+                sx = recoverable_patterns(half, psi, 3, [i for i in e if i < half])
+                sz = recoverable_patterns(
+                    half, psi, 3, [i - half for i in e if i >= half]
+                )
+                whole = recoverable_patterns(n, phi, 3, e)
+                if lattice[tab[index[sx.mask], index[sz.mask]]] == whole:
+                    report.checked += 1
+                else:
+                    report.mismatches.append((n, phi, e))
     return report

@@ -1,7 +1,11 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from convpolar import channel
 from convpolar.channel import ChannelModel, SimResult, run_fer, transmit, trial_rng
 from convpolar.codespec import CodeSpec
 from convpolar.cvpt import encode
@@ -21,12 +25,27 @@ def test_channel_validation():
         ChannelModel("bec", 1.5)
     with pytest.raises(ValueError):
         ChannelModel("awgn", 2.0, rate=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            ChannelModel("awgn", bad, rate=0.5)
+        with pytest.raises(ValueError):
+            ChannelModel("bec", bad)
+        with pytest.raises(ValueError):
+            ChannelModel("awgn", 2.0, rate=bad)
     ch = ChannelModel("awgn", 2.0)
     with pytest.raises(ValueError):
         ch.sigma_squared()  # rate not set yet
     assert ch.with_rate(0.5).sigma_squared() == pytest.approx(
         1.0 / (2 * 0.5 * 10 ** 0.2)
     )
+
+
+def test_trial_rng_rejects_out_of_range_keys():
+    for seed, trial in ((-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            trial_rng(seed, trial)
+    last = (1 << 64) - 1
+    assert trial_rng(last, last).random() == trial_rng(last, last).random()
 
 
 def test_trial_rng_is_counter_based():
@@ -122,3 +141,35 @@ def test_run_fer_rate_autofill():
     code = simple_code()
     res = run_fer(code, ChannelModel("awgn", 2.0), 1, 50, seed=0)
     assert res.channel.rate == pytest.approx(0.5)
+
+
+def test_run_fer_early_stop_cancels_batches_not_started(monkeypatch):
+    started = []
+    lock = threading.Lock()
+
+    def counting_batch(code, channel, list_size, seed, trials):
+        with lock:
+            started.append(trials.start)
+        if trials.start == 0:
+            time.sleep(0.05)  # let the other workers pick up their batches
+            return np.ones(len(trials), dtype=bool)
+        return np.zeros(len(trials), dtype=bool)
+
+    monkeypatch.setattr(channel, "_simulate_batch", counting_batch)
+    code, ch = simple_code(), ChannelModel("bec", 0.3)
+    serial = run_fer(code, ch, 1, 1000, target_errors=3, batch_size=10)
+    assert started == [0]
+    assert (serial.trials, serial.frame_errors) == (3, 3)
+    for threads in (2, 3):
+        started.clear()
+        res = run_fer(code, ch, 1, 1000, target_errors=3, batch_size=10,
+                      threads=threads)
+        assert len(started) <= threads + 1
+        assert (res.trials, res.frame_errors) == (serial.trials, serial.frame_errors)
+
+
+def test_run_fer_rejects_bad_batching():
+    with pytest.raises(ValueError):
+        run_fer(simple_code(), ChannelModel("bec", 0.3), 1, 10, batch_size=0)
+    with pytest.raises(ValueError):
+        run_fer(simple_code(), ChannelModel("bec", 0.3), 1, 10, threads=0)

@@ -219,3 +219,16 @@ def test_simulate_matches_api_counts(capsys, tmp_path):
     spec = parse_codespec(spec_path.read_text())
     res = run_fer(spec, ChannelModel("bec", 0.3), 2, 300, seed=1)
     assert f"errors={res.frame_errors}" in out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_simulate_rejects_out_of_range_seed(capsys, tmp_path, seed):
+    spec_path = tmp_path / "s.code"
+    spec_path.write_text("CVPS 8 4\nSEED 0\n0\n1\n2\n4\n")
+    code, _, err = run(
+        capsys,
+        ["simulate", "--spec", str(spec_path), "--channel", "bec", "--pe",
+         "0.3", "--trials", "10", "--seed", seed],
+    )
+    assert code == 2
+    assert "error: seed" in err

@@ -7,7 +7,6 @@ import pytest
 from convpolar.codespec import CodeSpec
 from convpolar.cvpt import encode
 from convpolar.decoder import (
-    SoftInput,
     leaf_probabilities,
     ml_decode_bruteforce,
     sc_decode,
@@ -46,11 +45,14 @@ def test_leaf_probabilities():
 
 
 def test_soft_input_validation():
+    code = rate1(2)
     with pytest.raises(ValueError):
-        SoftInput(np.array([1.0, np.nan]))
+        scl_decode(code, np.array([1.0, np.nan]), 1)
     with pytest.raises(ValueError):
-        SoftInput(np.zeros((2, 2)))
-    assert SoftInput(np.zeros(4)).n == 4
+        scl_decode(code, np.zeros((2, 2)), 1)  # a batch goes to scl_decode_batch
+    paths, metrics = scl_decode(code, np.zeros(2), 1)
+    assert paths.shape == (1, 2) and paths.dtype == np.uint8
+    assert metrics.shape == (1,)
 
 
 def test_hand_computed_pair():
@@ -132,7 +134,8 @@ def test_sc_equals_list_one():
     code = random_code(rng, 16, 8)
     for _ in range(50):
         llr = rng.normal(0, 1, 16)
-        assert tuple(sc_decode(code, llr)) == tuple(scl_decode(code, llr, 1)[0][0])
+        paths, _ = scl_decode(code, llr, 1)
+        assert np.array_equal(sc_decode(code, llr), paths[0])
 
 
 def test_full_list_equals_exhaustive_enumeration():
@@ -140,8 +143,8 @@ def test_full_list_equals_exhaustive_enumeration():
     code = random_code(rng, 8, 4)
     for _ in range(10):
         llr = rng.normal(0, 1.5, 8)
-        got = scl_decode(code, llr, 16)
-        assert len(got) == 16
+        paths, metrics = scl_decode(code, llr, 16)
+        assert paths.shape == (16, 8) and metrics.shape == (16,)
         probs = leaf_probabilities(llr)
         ref = []
         for msg in itertools.product((0, 1), repeat=4):
@@ -149,9 +152,9 @@ def test_full_list_equals_exhaustive_enumeration():
             lp = float(np.log(probs[np.arange(8), encode(u)]).sum())
             ref.append((tuple(int(b) for b in u), lp))
         ref.sort(key=lambda r: -r[1])
-        for (gu, gm), (ru, rm) in zip(got, ref):
+        for gm, (_, rm) in zip(metrics, ref):
             assert abs(gm - rm) < 1e-9
-        assert tuple(got[0][0]) == ref[0][0]
+        assert tuple(paths[0]) == ref[0][0]
 
 
 def test_list_metrics_sorted_and_bounded_by_ml():
@@ -163,12 +166,11 @@ def test_list_metrics_sorted_and_bounded_by_ml():
     llr = rng.normal(0, 1, 16)
     _, ml_metric = ml_decode_bruteforce(code, llr)
     for lsz in (1, 2, 4, 8):
-        out = scl_decode(code, llr, lsz)
-        metrics = [m for _, m in out]
-        assert metrics == sorted(metrics, reverse=True)
+        _, metrics = scl_decode(code, llr, lsz)
+        assert metrics.tolist() == sorted(metrics, reverse=True)
         assert metrics[0] <= ml_metric + 1e-9
-    full = scl_decode(code, llr, 256)
-    assert abs(full[0][1] - ml_metric) < 1e-9
+    _, full = scl_decode(code, llr, 256)
+    assert abs(full[0] - ml_metric) < 1e-9
 
 
 def test_ml_bruteforce_tie_order():
@@ -185,9 +187,9 @@ def test_batch_matches_single():
     llrs = rng.normal(0, 1, (6, 16))
     paths, metrics = scl_decode_batch(code, llrs, 4)
     for b in range(6):
-        single = scl_decode(code, llrs[b], 4)
-        assert tuple(paths[b, 0]) == tuple(single[0][0])
-        assert abs(metrics[b, 0] - single[0][1]) < 1e-12
+        single_paths, single_metrics = scl_decode(code, llrs[b], 4)
+        assert np.array_equal(paths[b], single_paths)
+        assert abs(metrics[b, 0] - single_metrics[0]) < 1e-12
 
 
 def test_reference_tracking():
@@ -196,11 +198,10 @@ def test_reference_tracking():
     msg = rng.integers(0, 2, 8).astype(np.uint8)
     u = code.assemble(msg)
     llr = np.where(encode(u) == 0, 3.0, -3.0) + rng.normal(0, 1, 16)
-    out, diag = scl_decode(code, llr, 256, track_reference=u)
+    (paths, _), diag = scl_decode(code, llr, 256, track_reference=u)
     assert diag["in_final_list"]
     assert 0 <= diag["max_rank"] < 256
-    in_list = any(tuple(cand) == tuple(int(b) for b in u) for cand, _ in out)
-    assert in_list
+    assert (paths == u).all(axis=1).any()
 
 
 def test_decode_rejects_mismatched_length():

@@ -7,7 +7,6 @@ import pytest
 from convpolar.distance import (
     DeltaTable,
     SubchannelWeights,
-    arikan_row_weight,
     compute_delta_tables,
     compute_weights,
     min_distance_bound,
@@ -32,15 +31,15 @@ def test_delta_tables_n2_hand_values():
     expect0 = {255: 0, 85: 1, 153: 1, 17: 2}
     for s in enumerate_subspaces(3):
         want = expect0.get(s.mask, math.inf)
-        assert t0.value(s) == want, s
+        assert by_mask(t0, s.mask) == want, s
 
     expect1 = {255: 0, 85: 2}
     for s in enumerate_subspaces(3):
-        assert t1.value(s) == expect1.get(s.mask, math.inf), s
+        assert by_mask(t1, s.mask) == expect1.get(s.mask, math.inf), s
 
     expect_b = {1: 2, 17: 1, 65: 1, 85: 0}
     for s in enumerate_subspaces(3):
-        assert minus1.value(s) == expect_b.get(s.mask, math.inf), s
+        assert by_mask(minus1, s.mask) == expect_b.get(s.mask, math.inf), s
 
 
 def test_table_count_and_phases():
@@ -58,6 +57,9 @@ def test_delta_table_validation():
         DeltaTable(0, np.array(bad))
     with pytest.raises(ValueError):
         SubchannelWeights(1, np.array([2, 2]))  # first weight must be 1
+    with pytest.raises(ValueError):
+        SubchannelWeights(25, np.ones(1))  # beyond the recursion's level cap
+    assert SubchannelWeights(1, [1, 2]).d.dtype == np.int32
 
 
 def test_min_distance_bound():
@@ -67,10 +69,6 @@ def test_min_distance_bound():
     assert min_distance_bound(w, (0, 1, 2, 3)) == 1
     with pytest.raises(ValueError):
         min_distance_bound(w, ())
-
-
-def test_arikan_row_weight():
-    assert [arikan_row_weight(i) for i in range(8)] == [1, 2, 2, 4, 2, 4, 4, 8]
 
 
 def test_weights_profile_shape():

@@ -10,6 +10,7 @@ from convpolar.erasure import (
     coset_min_weight,
     cross_check_coset_weights,
     cross_check_delta_tables,
+    cross_check_tau,
     exhaustive_min_distance,
     min_erasures,
     pattern_preimage,
@@ -105,6 +106,13 @@ def test_cross_checks_small():
     assert rep.ok and rep.checked > 0
 
 
+def test_cross_check_tau_reports_no_mismatch():
+    rep = cross_check_tau()
+    assert rep.mismatches == []
+    # every phase and erasure set of n = 2, 4, 8
+    assert rep.checked == 2 * 4 + 4 * 16 + 8 * 256
+
+
 def test_distance_bound_is_a_lower_bound():
     """Minimum over information-set weights never exceeds the true distance."""
     rng = np.random.default_rng(9)
@@ -153,7 +161,11 @@ def test_guards():
         recoverable_patterns(4, 4, 2, frozenset())
     with pytest.raises(ValueError):
         recoverable_patterns(4, 0, 7, frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero bit tuple"):
         coset_min_weight(4, 0, (0, 0))
+    with pytest.raises(ValueError, match="power of two"):
+        coset_min_weight(6, 0, (1,))
+    with pytest.raises(ValueError, match="out of range"):
+        coset_min_weight(4, 4, (1,))
     with pytest.raises(ValueError):
         min_erasures(64, 0, 3, Subspace.from_vectors(3, ()))
