@@ -13,7 +13,8 @@ import itertools
 import math
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -135,6 +136,13 @@ def _simulate_batch(
     return (decided != msgs).any(axis=1)
 
 
+def _run_now(fn, *args) -> Future:
+    """Run fn on the calling thread; its result as a completed future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def run_fer(
     code: CodeSpec,
     channel: ChannelModel,
@@ -164,9 +172,12 @@ def run_fer(
         for lo in range(0, max_trials, batch_size)
     )
     errors = done = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # one thread runs its batches itself; more get a pool of workers
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    with pool or nullcontext():
         submit = partial(
-            pool.submit, _simulate_batch, code, channel, list_size, seed
+            pool.submit if pool else _run_now,
+            _simulate_batch, code, channel, list_size, seed,
         )
         # one batch per worker in flight, counted in trial order
         queued = deque(map(submit, itertools.islice(todo, threads)))

@@ -13,6 +13,8 @@ between levels; output position order follows the recursion directly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["layer_split", "encode", "transform_row_ints"]
@@ -68,8 +70,12 @@ def encode(u) -> np.ndarray:
     return blocks.reshape(*lead, n)
 
 
-def transform_row_ints(n: int) -> list[int]:
-    """Transform rows as ints, bit c of row i = output coordinate c of e_i."""
+@functools.lru_cache(maxsize=16)
+def transform_row_ints(n: int) -> tuple[int, ...]:
+    """Transform rows as ints, bit c of row i = output coordinate c of e_i.
+
+    Cached per n; every caller shares the same immutable tuple.
+    """
     rows = encode(np.eye(n, dtype=np.uint8))
     weights = 1 << np.arange(n, dtype=object)
-    return [int((r.astype(object) * weights).sum()) for r in rows]
+    return tuple(int((r.astype(object) * weights).sum()) for r in rows)

@@ -9,14 +9,24 @@ recently committed values, so each node stores a five-slot ring of commits
 instead of its whole history.  Every (node, phase) pair is built exactly
 once, giving O(n log n) work per decode.
 
-Probabilities are stored in the linear domain as float64 and rescaled by an
-exact power of two after every build (the scale is chosen per trial, so every
-path sees the same factor and rankings are preserved bit-exactly); the
-accumulated binary exponent per depth turns the surviving values back into
+Tables are entry-major: depth d holds one float64 array (8, B, L, 2**d),
+entry 4a + 2b + c first, then trial, path slot and node.  Nodes sit in
+bit-reversed order, so the children of the depth-d nodes are the two
+contiguous halves of depth d + 1.  Committed symbols rebase a child table by
+selecting between it and its view with the leading symbol reversed.
+
+Probabilities are stored in the linear domain and rescaled by an exact power
+of two after every build (the scale is chosen per trial, so every path sees
+the same factor and rankings are preserved bit-exactly); the accumulated
+binary exponent per depth turns the surviving values back into
 log-probabilities at the end.
 
-Everything is batched: a decode processes B independent trials times up to L
-list paths in one set of numpy arrays.
+Path state is lazy: a prune only updates, per depth, the map from each path
+slot to the slot its table and rings were written for, and they are gathered
+when next used.  The list decoder backtracks per-phase decision and parent
+columns at the end, and takes dynamic frozen symbols from per-path running
+parities.  Everything is batched over B trials times up to L paths, in row
+chunks whose tables fit TABLE_BUDGET_BYTES.
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# Decoder tables take rows * list_size * (n - 1) * 64 bytes; batch decodes
+# split their rows so that one chunk stays within this budget.
+TABLE_BUDGET_BYTES = 256 << 20
 
 
 def _as_llr_batch(llrs) -> np.ndarray:
@@ -131,6 +144,55 @@ def ml_decode_bruteforce(code: CodeSpec, soft) -> tuple[np.ndarray, float]:
     return u[best], float(logs[best])
 
 
+# Table entry e = 4a + 2b + c holds the node's three latest symbols (a, b, c).
+# Each phase class combines child entries x[i] * y[j] by a fixed recipe per
+# output entry: products summed left to right within a group, groups summed
+# left to right.  The recipes keep every entry's float expression exact.
+def _recipe(entries, groups):
+    return tuple(groups(e >> 2, (e >> 1) & 1, e & 1) for e in range(entries))
+
+
+def _dot(i, j):  # x[i] * y[j] + x[i ^ 1] * y[j + 1], j even
+    return ((i, j), (i ^ 1, j + 1))
+
+
+_START = _recipe(2, lambda a, b, c: (_dot(c, 0),))
+_PAIR = _recipe(4, lambda a, b, c: (((b ^ c, c),),))
+_LAST = _recipe(8, lambda a, b, c: (((2 * (a ^ b) + (b ^ c), 2 * (a ^ b) + c),),))
+_EVEN = _recipe(
+    8, lambda a, b, c: (_dot(4 * a + 2 * (a ^ b ^ c) + c, 4 * a + 2 * (b ^ c)),)
+)
+_ODD = _recipe(8, lambda a, b, c: (
+    _dot(4 * (a ^ b) + 2 * (b ^ c), 4 * (a ^ b) + 2 * c),
+    _dot(4 * (a ^ b) + 2 * (b ^ c ^ 1) + 1, 4 * (a ^ b) + 2 * (c ^ 1)),
+))
+_RING = 5  # commits kept per node
+
+
+def _combine(out, x, y, recipe, tmp) -> None:
+    for o, groups in zip(out, recipe):
+        for g, group in enumerate(groups):
+            acc = tmp[0] if g else o
+            for k, (i, j) in enumerate(group):
+                if k:
+                    np.multiply(x[i], y[j], out=tmp[1])
+                    acc += tmp[1]
+                else:
+                    np.multiply(x[i], y[j], out=acc)
+            if g:
+                o += acc
+
+
+def _flip(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Entry e of t becomes t[e ^ (len(t) / 2)] where s is set."""
+    h = t.reshape(2, -1, *t.shape[1:])
+    return np.where(s, h[::-1], h).reshape(t.shape)
+
+
+def _bit_reversal(m: int) -> np.ndarray:
+    return np.array([int(f"{i:0{m}b}"[::-1], 2) for i in range(1 << m)])
+
+
 class _TreeDecoder:
     """Batched recursion-tree workspace for one block length and list size."""
 
@@ -140,29 +202,73 @@ class _TreeDecoder:
             raise ValueError(f"block length must be a power of two >= 2, got {n}")
         if list_size < 1:
             raise ValueError(f"list size must be >= 1, got {list_size}")
-        self.B, self.n, self.L = b, n, list_size
-        self.m = n.bit_length() - 1
-        self.leaf = leaf_probabilities(llrs)[:, None]  # (B, 1, n, 2)
-        self.tbl = [
-            np.empty((b, list_size, 1 << d, 2, 2, 2)) for d in range(self.m)
+        self.B, self.n = b, n
+        self.m = m = n.bit_length() - 1
+        leaf = leaf_probabilities(llrs[:, _bit_reversal(m)])
+        self.leaf = np.ascontiguousarray(np.moveaxis(leaf, -1, 0))[:, :, None]
+        self.tbl = [np.empty((8, b, list_size, 1 << d)) for d in range(m)]
+        self.exp = [np.zeros(b, dtype=np.int64) for _ in range(m)]
+        depths = max(m - 1, 1)
+        self.rings = [
+            np.zeros((_RING, b, list_size, 1 << d), dtype=bool)
+            for d in range(depths)
         ]
-        self.exp = [np.zeros(b, dtype=np.int64) for _ in range(self.m)]
-        self.bits = [
-            np.zeros((b, list_size, 1 << d, 5), dtype=np.uint8)
-            for d in range(max(self.m - 1, 0))
-        ]
-        self.anc = [
-            np.tile(np.arange(list_size, dtype=np.intp), (b, 1))
-            for _ in range(self.m)
-        ]
-        self.anc_dirty = [False] * self.m
-        self.U = np.zeros((b, list_size, n), dtype=np.uint8)
-        self.metric = np.ones((b, list_size))
+        self.head = [0] * depths
+        # row r: slot whose state path slot i continues, for the table of
+        # depth r (r < m) or the rings of depth r - m; identity unless moved
+        self.anc = np.zeros((m + depths, b, list_size), dtype=np.intp)
+        self.moved = [False] * (m + depths)
         self.active = 1
-        self._t = 0
         self._bidx = np.arange(b)[:, None]
 
-    # -- building ---------------------------------------------------------
+    # -- path state ---------------------------------------------------------
+
+    def _gather(self, arr: np.ndarray, r: int) -> np.ndarray:
+        """arr[:, b, anc[r, b, i]] for the active slots i."""
+        k, b, lsz, nodes = arr.shape
+        rows = (self.anc[r, :, : self.active] + self._bidx * lsz).ravel()
+        out = arr.reshape(k, b * lsz, nodes).take(rows, axis=1)
+        return out.reshape(k, b, self.active, nodes)
+
+    def _settle(self, r: int) -> None:
+        self.anc[r, :, : self.active] = np.arange(self.active)
+        self.moved[r] = False
+
+    def _ring(self, d: int) -> np.ndarray:
+        """Commit rings (slot, B, active, nodes) of depth d, moved onto the paths."""
+        a, r = self.active, self.m + d
+        if self.moved[r]:
+            self.rings[d][:, :, :a] = self._gather(self.rings[d], r)
+            self._settle(r)
+        return self.rings[d][:, :, :a]
+
+    def _window(self, d: int, back: int) -> np.ndarray:
+        """Committed symbol v_{p-3-back} of every depth-d node, as bools."""
+        lag = 2 if d == 0 else 1 if d == 1 else 0
+        return self._ring(d)[(self.head[d] + 4 - lag - back) % _RING]
+
+    def prune(self, parent: np.ndarray) -> None:
+        """Continue path slot i of trial b from slot parent[b, i]."""
+        self.active = parent.shape[1]
+        self.anc[:, :, : self.active] = self.anc[:, self._bidx, parent]
+        self.moved = [True] * len(self.moved)
+
+    def commit(self, t: int, bits: np.ndarray) -> None:
+        """Push the (B, active) decisions of phase t through the rings."""
+        cur, idx = bits[:, :, None] != 0, t
+        for d in range(len(self.rings)):
+            ring, h = self._ring(d), self.head[d]
+            ring[h] = cur  # replaces the oldest commit
+            self.head[d] = (h + 1) % _RING
+            if idx < 2 or idx % 2 or d + 1 == len(self.rings):
+                return
+            half = 1 << d
+            nxt = np.empty(cur.shape[:2] + (2 * half,), dtype=bool)
+            np.bitwise_xor(ring[(h + 4) % _RING], cur, out=nxt[..., half:])
+            np.bitwise_xor(nxt[..., half:], ring[(h + 3) % _RING], out=nxt[..., :half])
+            cur, idx = nxt, (idx - 2) // 2
+
+    # -- building -------------------------------------------------------------
 
     def _events(self, t: int) -> list[tuple[int, int]]:
         if t == 0:
@@ -178,103 +284,49 @@ class _TreeDecoder:
         ev.reverse()
         return ev
 
-    def _commit_window(self, d: int, p: int, back: int) -> np.ndarray:
-        """Committed symbol v_{p-3-back} of every depth-d node, as 0/1."""
-        if d >= self.m - 1:
-            a = self.active
-            return np.zeros((self.B, a, 1 << d), dtype=np.uint8)
-        lag = 2 if d == 0 else 1 if d == 1 else 0
-        return self.bits[d][:, : self.active, :, 4 - lag - back]
-
-    def _children(self, d: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    def _children(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         if d == self.m - 1:
-            return self.leaf[:, :, 0::2], self.leaf[:, :, 1::2], True
-        ct = self.tbl[d + 1]
-        if self.anc_dirty[d + 1]:
-            cg = ct[self._bidx, self.anc[d + 1][:, : self.active]]
+            kids = self.leaf
+        elif self.moved[d + 1]:
+            kids = self._gather(self.tbl[d + 1], d + 1)
         else:
-            cg = ct[:, : self.active]
-        return cg[:, :, 0::2], cg[:, :, 1::2], False
-
-    @staticmethod
-    def _flip0(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Rebase a table's leading open axis by per-element offset bits."""
-        cond = s.astype(bool)[..., None, None, None]
-        return np.where(cond, t[..., ::-1, :, :], t)
+            kids = self.tbl[d + 1][:, :, : self.active]
+        half = 1 << d
+        return kids[..., :half], kids[..., half:]
 
     def _build(self, d: int, p: int) -> None:
-        b, a = self.B, self.active
-        nodes = 1 << d
-        l = self.n >> d
-        at, bt, leaves = self._children(d)
-        out = np.empty((b, a, nodes, 2, 2, 2))
+        at, bt = self._children(d)
+        out = self.tbl[d][:, :, : self.active]
+        tmp = np.empty((2,) + out.shape[1:])
+        last = p == (self.n >> d) - 1
         if p == 0:
-            a0 = at if leaves else at[..., 0, 0, :]
-            b0 = bt if leaves else bt[..., 0, 0, :]
-            t0 = a0[..., 0] * b0[..., 0] + a0[..., 1] * b0[..., 1]
-            t1 = a0[..., 1] * b0[..., 0] + a0[..., 0] * b0[..., 1]
-            out[..., 0] = t0[..., None, None]
-            out[..., 1] = t1[..., None, None]
-        elif p == l - 1 and l == 2:
-            for bb in range(2):
-                for cc in range(2):
-                    val = at[..., bb ^ cc] * bt[..., cc]
-                    out[:, :, :, :, bb, cc] = val[..., None]
+            _combine(out[:2], at, bt, _START, tmp)
+            out.reshape(4, 2, *out.shape[1:])[1:] = out[:2]
+        elif last and d == self.m - 1:
+            _combine(out[:4], at, bt, _PAIR, tmp)
+            out[4:] = out[:4]
         else:
-            s1 = self._commit_window(d, p, 0)
-            if p == l - 1:
-                s2 = self._commit_window(d, p, 1)
-                s3 = self._commit_window(d, p, 2)
-                a2 = self._flip0(at, s1 ^ s2 ^ s3)[..., 0, :, :]
-                flip = s1.astype(bool)[..., None, None]
-                a3 = np.where(flip, a2[..., ::-1, :], a2)
-                b2 = self._flip0(bt, s1 ^ s2)[..., 0, :, :]
-                for aa in range(2):
-                    for bb in range(2):
-                        for cc in range(2):
-                            out[:, :, :, aa, bb, cc] = (
-                                a3[..., aa ^ bb, bb ^ cc] * b2[..., aa ^ bb, cc]
-                            )
+            s1 = self._window(d, 0)
+            if last:
+                s12 = s1 ^ self._window(d, 1)
+                s123 = s12 ^ self._window(d, 2)
+                ah = _flip(np.where(s123, at[4:], at[:4]), s1)
+                _combine(out, ah, np.where(s12, bt[4:], bt[:4]), _LAST, tmp)
             elif p % 2:
-                af = self._flip0(at, s1)
-                for aa in range(2):
-                    for bb in range(2):
-                        i1 = aa ^ bb
-                        for cc in range(2):
-                            acc = None
-                            for dd in range(2):
-                                term = (
-                                    af[..., i1, bb ^ cc ^ dd, dd]
-                                    * bt[..., i1, cc ^ dd, 0]
-                                    + af[..., i1, bb ^ cc ^ dd, dd ^ 1]
-                                    * bt[..., i1, cc ^ dd, 1]
-                                )
-                                acc = term if acc is None else acc + term
-                            out[:, :, :, aa, bb, cc] = acc
+                _combine(out, _flip(at, s1), bt, _ODD, tmp)
             else:
-                s2 = self._commit_window(d, p, 1)
-                af = self._flip0(at, s1 ^ s2)
-                bf = self._flip0(bt, s1)
-                for aa in range(2):
-                    for bb in range(2):
-                        for cc in range(2):
-                            out[:, :, :, aa, bb, cc] = (
-                                af[..., aa, aa ^ bb ^ cc, cc]
-                                * bf[..., aa, bb ^ cc, 0]
-                                + af[..., aa, aa ^ bb ^ cc, cc ^ 1]
-                                * bf[..., aa, bb ^ cc, 1]
-                            )
-        mx = out.max(axis=(1, 2, 3, 4, 5))
+                af = _flip(at, s1 ^ self._window(d, 1))
+                _combine(out, af, _flip(bt, s1), _EVEN, tmp)
+        mx = out.max(axis=0).max(axis=(1, 2))
         e = np.frexp(mx)[1].astype(np.int64)
-        out = np.ldexp(out, (1 - e)[:, None, None, None, None, None])
+        if e.min(initial=1) > -1022:  # 2**(1-e) is a double: same rounding
+            out *= np.ldexp(1.0, 1 - e)[:, None, None]
+        else:
+            np.ldexp(out, (1 - e)[:, None, None], out=out)
         child_exp = self.exp[d + 1] if d + 1 < self.m else 0
         self.exp[d] = 2 * child_exp + (e - 1)
-        self.tbl[d][:, :a] = out
-        if d >= 1:
-            self.anc[d][:, :a] = np.arange(a, dtype=np.intp)
-            self.anc_dirty[d] = False
-
-    # -- per-phase pieces ---------------------------------------------------
+        if self.moved[d]:
+            self._settle(d)
 
     def build_phase(self, t: int) -> None:
         for d, p in self._events(t):
@@ -282,67 +334,11 @@ class _TreeDecoder:
 
     def extract(self) -> np.ndarray:
         """Candidate values (B, active, 2) at the current phase."""
-        a = self.active
-        flat = self.tbl[0][:, :a, 0].reshape(self.B, a, 8)
-        if self.m >= 2:
-            ring = self.bits[0][:, :a, 0]
-            lin = (ring[..., 3].astype(np.intp) << 2) | (
-                ring[..., 4].astype(np.intp) << 1
-            )
-        else:
-            lin = np.zeros((self.B, a), dtype=np.intp)
-            hist = self.U[:, :a]
-            if self._t >= 1:
-                lin |= hist[..., self._t - 1].astype(np.intp) << 1
-            if self._t >= 2:
-                lin |= hist[..., self._t - 2].astype(np.intp) << 2
-        idx = np.stack([lin, lin + 1], axis=-1)
-        return np.take_along_axis(flat, idx, axis=2)
-
-    def commit(self, t: int, newbits: np.ndarray) -> None:
-        cur = newbits[:, :, None]
-        d, idx = 0, t
-        while d <= self.m - 2:
-            ring = self.bits[d][:, : self.active]
-            cascade = idx >= 2 and idx % 2 == 0 and d + 1 <= self.m - 2
-            if cascade:
-                c1 = ring[..., 4].copy()
-                c2 = ring[..., 3].copy()
-            ring[..., :4] = ring[..., 1:].copy()
-            ring[..., 4] = cur
-            if not cascade:
-                return
-            nxt = np.empty(
-                (self.B, self.active, 1 << (d + 1)), dtype=np.uint8
-            )
-            nxt[..., 0::2] = c2 ^ c1 ^ cur
-            nxt[..., 1::2] = c1 ^ cur
-            cur = nxt
-            idx = (idx - 2) // 2
-            d += 1
-
-    def prune(self, t: int, keep: np.ndarray, scores: np.ndarray) -> None:
-        """Gather state onto the kept candidates (sorted candidate ids)."""
-        nkeep = keep.shape[1]
-        parent = (keep >> 1).astype(np.intp)
-        bit = (keep & 1).astype(np.uint8)
-        bidx = self._bidx
-        self.U[:, :nkeep] = self.U[bidx, parent]
-        self.U[:, :nkeep, t] = bit
-        self.metric[:, :nkeep] = np.take_along_axis(scores, keep, axis=1)
-        for d in range(len(self.bits)):
-            self.bits[d][:, :nkeep] = self.bits[d][bidx, parent]
-        for d in range(1, self.m):
-            self.anc[d][:, :nkeep] = self.anc[d][bidx, parent]
-            self.anc_dirty[d] = True
-        self.active = nkeep
-        self.commit(t, bit)
-
-
-def _forced_bits(code: CodeSpec, u_hist: np.ndarray, parts: tuple[int, ...]):
-    if not parts:
-        return np.zeros(u_hist.shape[:2], dtype=np.uint8)
-    return np.bitwise_xor.reduce(u_hist[:, :, list(parts)], axis=-1)
+        ring, h = self._ring(0)[..., 0], self.head[0]
+        pair = 2 * ring[(h + 3) % _RING].astype(np.intp) + ring[(h + 4) % _RING]
+        top = self.tbl[0][:, :, : self.active, 0].reshape(4, 2, *pair.shape)
+        vals = np.take_along_axis(top, pair[None, None], axis=0)[0]
+        return np.moveaxis(vals, 0, -1)
 
 
 def _run_list_decode(
@@ -351,71 +347,86 @@ def _run_list_decode(
     list_size: int,
     track: np.ndarray | None = None,
 ):
-    """Core SCL loop over a batch. Returns the workspace plus diagnostics."""
+    """Core SCL loop: (paths, metrics, (reference worst rank, reference kept))."""
     eng = _TreeDecoder(llrs, list_size)
     n, b = eng.n, eng.B
     if code.n != n:
         raise ValueError(f"code length {code.n} != input length {n}")
     frozen = dict(code.frozen)
-    ref_slot = np.zeros(b, dtype=np.intp) if track is not None else None
-    ref_alive = np.ones(b, dtype=bool) if track is not None else None
-    ref_rank_max = np.zeros(b, dtype=np.int64) if track is not None else None
+    # one running parity bit per path for each dynamic frozen symbol
+    dynamic = {i: c for c, i in enumerate(i for i, parts in code.frozen if parts)}
+    masks = np.zeros((n, (len(dynamic) + 63) // 64), dtype=np.uint64)
+    for i, c in dynamic.items():
+        masks[list(frozen[i]), c >> 6] |= np.uint64(1 << (c & 63))
+    parity = np.zeros((b, 1, masks.shape[1]), dtype=np.uint64)
+    cols = []  # per phase: (decisions, parent slots or None), both (B, active)
+    ref_slot, ref_alive, ref_rank = np.zeros(b, int), np.ones(b, bool), np.zeros(b, int)
+    bidx = eng._bidx
     for t in range(n):
-        eng._t = t
         eng.build_phase(t)
         vals = eng.extract()
-        a = eng.active
+        parent = None
         if t in frozen:
-            bit = _forced_bits(code, eng.U[:, :a], frozen[t])
-            eng.U[:, :a, t] = bit
-            eng.metric[:, :a] = np.take_along_axis(
-                vals, bit[..., None].astype(np.intp), axis=2
-            )[..., 0]
-            eng.commit(t, bit)
-            continue
-        scores = vals.reshape(b, 2 * a)
-        if 2 * a <= list_size:
-            keep = np.tile(np.arange(2 * a, dtype=np.intp), (b, 1))
+            bit = np.zeros(vals.shape[:2], dtype=np.uint8)
+            if t in dynamic:
+                c = dynamic[t]
+                bit[:] = (parity[..., c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
+            metric = np.where(bit, vals[..., 1], vals[..., 0])
         else:
-            order = np.argsort(-scores, axis=1, kind="stable")
-            keep = np.sort(order[:, :list_size], axis=1)
-        if track is not None:
-            cand = 2 * ref_slot + int(track[t])
-            order_full = np.argsort(-scores, axis=1, kind="stable")
-            inv = np.empty_like(order_full)
-            np.put_along_axis(
-                inv, order_full, np.arange(2 * a)[None, :].repeat(b, 0), axis=1
-            )
-            rank = inv[np.arange(b), cand]
-            ref_rank_max = np.where(
-                ref_alive, np.maximum(ref_rank_max, rank), ref_rank_max
-            )
-            pos = np.array(
-                [np.searchsorted(keep[i], cand[i]) for i in range(b)]
-            )
-            pos = np.minimum(pos, keep.shape[1] - 1)
-            found = keep[np.arange(b), pos] == cand
-            ref_alive &= found
-            ref_slot = np.where(found, pos, 0)
-        eng.prune(t, keep, scores)
-    order = np.argsort(-eng.metric[:, : eng.active], axis=1, kind="stable")
-    paths = eng.U[eng._bidx, order]
+            scores = vals.reshape(b, -1)
+            ranked = np.argsort(-scores, axis=1, kind="stable")
+            keep = np.sort(ranked[:, :list_size], axis=1)
+            if track is not None:
+                cand = 2 * ref_slot + int(track[t])
+                rank = np.argmax(ranked == cand[:, None], axis=1)
+                np.maximum(ref_rank, np.where(ref_alive, rank, 0), out=ref_rank)
+                pos = np.minimum((keep < cand[:, None]).sum(1), keep.shape[1] - 1)
+                found = keep[bidx[:, 0], pos] == cand
+                ref_alive &= found
+                ref_slot = np.where(found, pos, 0)
+            parent = keep >> 1
+            bit = (keep & 1).astype(np.uint8)
+            metric = scores[bidx, keep]
+            parity = parity[bidx, parent]
+            eng.prune(parent)
+        if masks[t].any():
+            parity ^= bit[..., None].astype(np.uint64) * masks[t]
+        eng.commit(t, bit)
+        cols.append((bit, parent))
+    order = np.argsort(-metric, axis=1, kind="stable")
+    paths = np.empty(order.shape + (n,), dtype=np.uint8)
+    slot = order
+    for t in range(n - 1, -1, -1):
+        bit, parent = cols[t]
+        paths[..., t] = bit[bidx, slot]
+        if parent is not None:
+            slot = parent[bidx, slot]
     with np.errstate(divide="ignore"):
-        metrics = np.log(np.take_along_axis(eng.metric, order, axis=1))
+        metrics = np.log(metric[bidx, order])
     metrics += eng.exp[0][:, None] * _LN2
-    diags = None
-    if track is not None:
-        diags = (ref_rank_max, ref_alive)
-    return paths, metrics[:, : eng.active], diags
+    return paths, metrics, (ref_rank, ref_alive)
+
+
+def _in_chunks(decode, list_size: int, *arrays) -> tuple[np.ndarray, ...]:
+    """decode over row chunks of arrays whose tables fit TABLE_BUDGET_BYTES."""
+    b, n = arrays[0].shape
+    rows = max(1, TABLE_BUDGET_BYTES // max(1, list_size * (n - 1) * 64))
+    parts = [
+        decode(*(arr[lo : lo + rows] for arr in arrays))
+        for lo in range(0, max(b, 1), rows)
+    ]
+    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
 
 
 def scl_decode_batch(
     code: CodeSpec, llrs, list_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched list decode: (paths (B, L', n), metrics (B, L')), best first."""
-    batch = _as_llr_batch(llrs)
-    paths, metrics, _ = _run_list_decode(code, batch, list_size)
-    return paths, metrics
+    return _in_chunks(
+        lambda rows: _run_list_decode(code, rows, list_size)[:2],
+        list_size,
+        _as_llr_batch(llrs),
+    )
 
 
 def scl_decode(code: CodeSpec, soft, list_size: int, track_reference=None):
@@ -463,18 +474,19 @@ def forced_path_tables(llrs, forced_u) -> tuple[np.ndarray, np.ndarray]:
         forced = forced[None, :]
     if forced.shape != batch.shape:
         raise ValueError("decision array shape must match llr batch")
-    eng = _TreeDecoder(batch, 1)
+    return _in_chunks(_forced_rows, 1, batch, forced)
+
+
+def _forced_rows(llrs: np.ndarray, forced: np.ndarray):
+    eng = _TreeDecoder(llrs, 1)
     n, b = eng.n, eng.B
     values = np.empty((b, n, 2))
     exps = np.empty((b, n), dtype=np.int64)
     for t in range(n):
-        eng._t = t
         eng.build_phase(t)
         values[:, t] = eng.extract()[:, 0]
         exps[:, t] = eng.exp[0]
-        bit = forced[:, t : t + 1]
-        eng.U[:, :1, t] = bit
-        eng.commit(t, bit)
+        eng.commit(t, forced[:, t : t + 1])
     return values, exps
 
 

@@ -173,3 +173,20 @@ def test_run_fer_rejects_bad_batching():
         run_fer(simple_code(), ChannelModel("bec", 0.3), 1, 10, batch_size=0)
     with pytest.raises(ValueError):
         run_fer(simple_code(), ChannelModel("bec", 0.3), 1, 10, threads=0)
+
+
+def test_run_fer_single_thread_runs_batches_on_caller(monkeypatch):
+    threads_seen = set()
+    real_batch = channel._simulate_batch
+
+    def recording_batch(*args):
+        threads_seen.add(threading.get_ident())
+        return real_batch(*args)
+
+    monkeypatch.setattr(channel, "_simulate_batch", recording_batch)
+    code, ch = simple_code(), ChannelModel("awgn", 1.0)
+    serial = run_fer(code, ch, 2, 300, target_errors=40, seed=3, batch_size=32)
+    assert threads_seen == {threading.get_ident()}
+    pooled = run_fer(code, ch, 2, 300, target_errors=40, seed=3, batch_size=32,
+                     threads=2)
+    assert (pooled.trials, pooled.frame_errors) == (serial.trials, serial.frame_errors)

@@ -204,6 +204,23 @@ def test_reference_tracking():
     assert (paths == u).all(axis=1).any()
 
 
+def test_reference_tracking_reports_pruned_reference():
+    rng = np.random.default_rng(10)
+    code = random_code(rng, 16, 8)
+    u = code.assemble(rng.integers(0, 2, 8).astype(np.uint8))
+    # noise strong enough that a list of two loses the sent path somewhere
+    pruned = 0
+    for _ in range(40):
+        llr = np.where(encode(u) == 0, 0.5, -0.5) + rng.normal(0, 1.5, 16)
+        (paths, _), diag = scl_decode(code, llr, 2, track_reference=u)
+        sent_listed = bool((paths == u).all(axis=1).any())
+        assert diag["in_final_list"] == sent_listed
+        if not sent_listed:
+            pruned += 1
+            assert diag["max_rank"] >= 2
+    assert pruned
+
+
 def test_decode_rejects_mismatched_length():
     code = rate1(8)
     with pytest.raises(ValueError):

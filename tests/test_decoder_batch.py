@@ -1,0 +1,118 @@
+"""Batch invariance and pinned outputs of the batched decoder.
+
+Rows of a batch are independent trials, so a batch decode must equal its
+row-by-row decodes bit for bit, whatever the row chunking.  The golden
+digests pin the decoder's exact floats: they were recorded before the
+decoder's tables and path state were reorganised, and every later change to
+the kernel must keep them.  They assume numpy's float64 ``exp`` and ``log``
+round as on the machine that recorded them (x86-64, numpy 2.4).
+"""
+
+import hashlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from convpolar import decoder
+from convpolar.codespec import CodeSpec
+from convpolar.decoder import forced_path_tables, scl_decode_batch
+
+
+def _random_code(rng, n, k):
+    info = sorted(rng.choice(n, size=k, replace=False).tolist())
+    frozen = []
+    for i in range(n):
+        if i in info:
+            continue
+        prev = list(range(i))
+        parts = ()
+        if prev and rng.random() < 0.7:
+            parts = tuple(j for j in prev if rng.random() < 0.5)
+        frozen.append((i, parts))
+    return CodeSpec(n=n, k=k, seed=0, frozen=tuple(frozen))
+
+
+_LLR = st.one_of(
+    st.sampled_from([0.0, np.inf, -np.inf, 740.0, -740.0]),
+    st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _batches(draw):
+    n = 1 << draw(st.integers(1, 5))
+    b = draw(st.integers(1, 4))
+    llrs = np.array(draw(st.lists(_LLR, min_size=b * n, max_size=b * n)))
+    return llrs.reshape(b, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_batches(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_scl_batch_equals_rows(llrs, list_size, seed):
+    rng = np.random.default_rng(seed)
+    n = llrs.shape[1]
+    code = _random_code(rng, n, int(rng.integers(1, n + 1)))
+    paths, metrics = scl_decode_batch(code, llrs, list_size)
+    for row in range(llrs.shape[0]):
+        p, m = scl_decode_batch(code, llrs[row : row + 1], list_size)
+        assert np.array_equal(paths[row], p[0])
+        assert np.array_equal(metrics[row], m[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_batches(), st.integers(0, 2**32 - 1))
+def test_forced_tables_batch_equals_rows(llrs, seed):
+    u = np.random.default_rng(seed).integers(0, 2, llrs.shape, dtype=np.uint8)
+    values, exps = forced_path_tables(llrs, u)
+    for row in range(llrs.shape[0]):
+        v, e = forced_path_tables(llrs[row : row + 1], u[row : row + 1])
+        assert np.array_equal(values[row], v[0])
+        assert np.array_equal(exps[row], e[0])
+
+
+def _sha(*arrays) -> str:
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def _golden_inputs():
+    rng = np.random.default_rng(20240611)
+    llrs = rng.normal(1.0, 2.0, (32, 64))
+    llrs[0, :3] = (np.inf, -np.inf, 0.0)
+    u = rng.integers(0, 2, (32, 64), dtype=np.uint8)
+    code = _random_code(rng, 32, 16)
+    scl_llrs = rng.normal(0.8, 1.5, (16, 32))
+    scl_llrs[1, 5:8] = (0.0, np.inf, -np.inf)
+    return llrs, u, code, scl_llrs
+
+
+def _golden_digests():
+    llrs, u, code, scl_llrs = _golden_inputs()
+    values, exps = forced_path_tables(llrs, u)
+    paths, metrics = scl_decode_batch(code, scl_llrs, 8)
+    return _sha(values, exps), _sha(paths, metrics)
+
+
+GOLDEN = (
+    "6e0b3308ec0678902979df6fca7deafa9ca89e85590ca1009fbb77981ad8de94",
+    "3da87a62430d09cef37563d6607122a27dd0ba50678ad8c7b5def815d23ec14e",
+)
+
+
+def test_golden_outputs():
+    assert _golden_digests() == GOLDEN
+
+
+def test_small_table_budget_gives_identical_output(monkeypatch):
+    llrs, u, code, scl_llrs = _golden_inputs()
+    values, exps = forced_path_tables(llrs, u)
+    paths, metrics = scl_decode_batch(code, scl_llrs, 8)
+    # room for three rows of forced tables and one row of list tables
+    monkeypatch.setattr(decoder, "TABLE_BUDGET_BYTES", 3 * 63 * 64)
+    v2, e2 = forced_path_tables(llrs, u)
+    p2, m2 = scl_decode_batch(code, scl_llrs, 8)
+    assert np.array_equal(values, v2) and np.array_equal(exps, e2)
+    assert np.array_equal(paths, p2) and np.array_equal(metrics, m2)
