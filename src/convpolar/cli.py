@@ -18,7 +18,7 @@ from .codespec import parse_codespec, serialize_codespec
 from .construction import build_cvpc, build_cvps, genie_reliability
 from .cvpt import encode
 from .decoder import scl_decode
-from .distance import compute_delta_tables, compute_weights
+from .distance import compute_weights
 from .erasure import (
     coset_min_weight,
     cross_check_coset_weights,

@@ -29,8 +29,6 @@ from .subspaces import (
 __all__ = [
     "DeltaTable",
     "SubchannelWeights",
-    "base_table",
-    "left_edge_table",
     "compute_delta_tables",
     "compute_weights",
     "min_distance_bound",
@@ -108,7 +106,7 @@ class SubchannelWeights:
         return 1 << self.m
 
 
-def base_table() -> np.ndarray:
+def _base_table() -> np.ndarray:
     """Length-1 block table over S_3, lifted from the 1-dimensional lattice.
 
     A single coordinate is recoverable at cost 0 if nothing is erased and
@@ -117,8 +115,8 @@ def base_table() -> np.ndarray:
     """
     idx = subspace_index(3)
     one = enumerate_subspaces(1)
-    t = np.full(16, np.inf)
-    for s1, cost in ((one[1], 0.0), (one[0], 1.0)):
+    t = np.full(16, _INF)
+    for s1, cost in ((one[1], 0), (one[0], 1)):
         t[idx[right_edge_lift(s1, 2).mask]] = cost
     return t
 
@@ -129,22 +127,11 @@ def _shift_index() -> np.ndarray:
     return np.array([idx[left_edge_shift(s).mask] for s in _LATTICE], dtype=np.intp)
 
 
-def left_edge_table(table: np.ndarray) -> np.ndarray:
+def _left_edge(table: np.ndarray) -> np.ndarray:
     """Boundary table for the virtual phase -1 from the phase-0 table."""
-    t = np.asarray(table, dtype=np.float64)
-    if t.shape != (16,):
-        raise ValueError(f"expected 16 entries, got shape {t.shape}")
-    return _left_edge(t, np.inf)
-
-
-def _left_edge(table: np.ndarray, unreachable) -> np.ndarray:
-    out = np.full(16, unreachable, dtype=table.dtype)
+    out = np.full(16, _INF)
     np.minimum.at(out, _shift_index(), table)
     return out
-
-
-def _to_int(table: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(table), table, _INF).astype(np.int32)
 
 
 def _to_float(table: np.ndarray) -> np.ndarray:
@@ -181,7 +168,7 @@ def _advance(tables: np.ndarray) -> np.ndarray:
     _combine(tables[:, :count], 0, new[:, 1::2])
     _combine(tables[:, 1:], 1, new[:, 2::2])
     np.minimum(new, _INF, out=new)
-    new[:, 0] = _left_edge(new[:, 1], _INF)
+    new[:, 0] = _left_edge(new[:, 1])
     return new
 
 
@@ -189,8 +176,8 @@ def _run_levels(m: int) -> np.ndarray:
     """Tables of phases -1 .. 2**m - 1 as int32 columns, _INF if unreachable."""
     if not 0 <= m <= _MAX_LEVELS:
         raise ValueError(f"m must be in 0..{_MAX_LEVELS}, got {m}")
-    phase0 = _to_int(base_table())
-    tables = np.stack([_left_edge(phase0, _INF), phase0], axis=1)
+    phase0 = _base_table()
+    tables = np.stack([_left_edge(phase0), phase0], axis=1)
     for _ in range(m):
         tables = _advance(tables)
     assert np.all(tables[_FULL_IDX, 1:] == tables[:, 1:].min(axis=0))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "min_erasures",
     "coset_min_weight",
     "exhaustive_min_distance",
-    "coset_weight_matches_pattern_bound",
     "cross_check_coset_weights",
     "cross_check_delta_tables",
     "cross_check_tau",
@@ -58,8 +57,8 @@ class CrossCheckReport:
 class Span:
     """Incremental row span over GF(2), kept in reduced echelon form.
 
-    Vectors are int bitsets.  The pointwise oracle uses this elimination,
-    independent of the bulk table's, so the two can check each other.
+    Vectors are int bitsets.  The pointwise oracle uses this elimination and
+    the bulk table (_chi3_table) the dual route, so the two can check each other.
     """
 
     def __init__(self, vectors: Iterable[int] = ()) -> None:
@@ -151,63 +150,59 @@ def recoverable_patterns(n: int, phi: int, j: int, erased: Iterable[int]) -> Sub
     return Subspace(j, mask)
 
 
+@lru_cache(maxsize=None)
+def _annihilators() -> np.ndarray:
+    """Entry v: mask of the width-3 keys orthogonal to every key in set v."""
+    keys = np.arange(8)
+    odd = np.bitwise_count(keys[:, None] & keys) & 1
+    members = (np.arange(256)[:, None] >> keys) & 1
+    return (((members @ odd) == 0) << keys).sum(axis=1).astype(np.uint8)
+
+
 @lru_cache(maxsize=64)
 def _chi3_table(n: int, phi: int) -> np.ndarray:
     """Width-3 recoverable-pattern masks for every erasure set of [n].
 
-    Entry at index emask is the 8-bit subspace mask.  Independent fast path
-    for the full-enumeration oracles; equality with recoverable_patterns is
-    part of the test suite.
+    Entry at index emask is the 8-bit subspace mask.  Built by duality: a
+    pattern p is recoverable after erasure set E iff p is orthogonal to the
+    window (u_phi, u_phi+1, u_phi+2) of every input with zero prefix whose
+    codeword lies inside E.  Symbols before 0 enter as rows of zeros (their
+    unit inputs always lie inside E, so patterns touching them are never
+    recoverable) and symbols past the block end have no row (patterns there
+    are free).  The route never eliminates surviving columns, so it stays
+    independent of recoverable_patterns' Span; their equality on every
+    erasure set is part of the test suite.
     """
     _check_sizes(n, phi, 3, _MAX_N_ENUM)
-    if phi < 0:
-        base = _chi3_table(n, 0)
-        lut = np.zeros(256, dtype=np.uint8)
-        for v in range(256):
-            m = 0
-            for key in range(4):
-                if (v >> key) & 1:
-                    m |= 1 << (key << 1)
-            lut[v] = m
-        out = lut[base]
-        out.setflags(write=False)
-        return out
-    k = n - phi
-    jc = min(3, k)
-    rows = transform_row_ints(n)[phi:]
-    cols = [
-        sum(((rows[r] >> c) & 1) << r for r in range(k)) for c in range(n)
-    ]
-    keys = list(range(1, 1 << jc))
-    out = np.empty(1 << n, dtype=np.uint8)
-    for emask in range(1 << n):
-        basis: list[int] = []
-        for c in range(n):
-            if (emask >> c) & 1:
-                continue
-            v = cols[c]
-            for b in basis:
-                if v ^ b < v:
-                    v ^= b
-            if v:
-                basis.append(v)
-                basis.sort(reverse=True)
-        mask = 1
-        for key in keys:
-            v = key
-            for b in basis:
-                if v ^ b < v:
-                    v ^= b
-            if v == 0:
-                mask |= 1 << key
-        if jc < 3:
-            lifted = 0
-            for q in range(1 << (3 - jc)):
-                lifted |= mask << (q << jc)
-            mask = lifted
-        out[emask] = mask
+    rows = (0,) * -min(phi, 0) + transform_row_ints(n)[max(phi, 0):]
+    # codeword support of every input; bit r of the index is symbol phi + r
+    support = np.zeros(1, dtype=np.int64)
+    for row in rows:
+        support = np.concatenate([support, support ^ row])
+    window = np.arange(support.size) & 7
+    inside = np.zeros(1 << n, dtype=np.uint8)
+    np.bitwise_or.at(inside, support, (1 << window).astype(np.uint8))
+    for c in range(n):  # close over supersets: E inherits every subset's keys
+        halves = inside.reshape(-1, 2, 1 << c)
+        halves[:, 1] |= halves[:, 0]
+    out = _annihilators()[inside]
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=64)
+def _fewest_erasures(n: int, phi: int) -> np.ndarray:
+    """Entry mask: fewest erasures whose width-3 table entry is mask, or inf."""
+    fewest = np.full(256, math.inf)
+    np.minimum.at(fewest, _chi3_table(n, phi), np.bitwise_count(np.arange(1 << n)))
+    fewest.setflags(write=False)
+    return fewest
+
+
+def _fewest_where(n: int, phi: int, keep: Callable) -> int | float:
+    """Fewest erasures over the table masks m (all 256 at once) with keep(m)."""
+    best = _fewest_erasures(n, phi)[keep(np.arange(256))].min(initial=math.inf)
+    return int(best) if math.isfinite(best) else math.inf
 
 
 def _width_prefix(j: int) -> int:
@@ -237,19 +232,12 @@ def pattern_preimage(
 def min_erasures(n: int, phi: int, j: int, s: Subspace) -> int | float:
     """Minimum erasure count with recoverable-pattern subspace exactly s.
 
-    Enumerates configurations by cardinality, smallest first; +inf when no
-    configuration produces s.
+    Full 2^n enumeration; +inf when no configuration produces s.
     """
     _check_sizes(n, phi, j, _MAX_N_ENUM)
     if s.j != j:
         raise ValueError(f"subspace dimension {s.j} != width {j}")
-    table = _chi3_table(n, phi)
-    pref = _width_prefix(j)
-    hits = (table & pref) == s.mask
-    if not hits.any():
-        return math.inf
-    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
-    return int(weights[hits].min())
+    return _fewest_where(n, phi, lambda m: (m & _width_prefix(j)) == s.mask)
 
 
 def _gray_min_weight(
@@ -330,38 +318,6 @@ def exhaustive_min_distance(code: CodeSpec) -> int:
     return d
 
 
-def _pattern_bound(n: int, phi: int, j: int, p_key: int) -> int | float:
-    """Smallest erasure count whose surviving patterns exclude p."""
-    table = _chi3_table(n, phi)
-    pref = _width_prefix(j)
-    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
-    best = math.inf
-    for s in enumerate_subspaces(j):
-        if (s.mask >> p_key) & 1:
-            continue
-        hits = (table & pref) == s.mask
-        if hits.any():
-            best = min(best, int(weights[hits].min()))
-    return best
-
-
-def coset_weight_matches_pattern_bound(
-    n: int, phi: int, j: int, p: Sequence[int]
-) -> bool:
-    """Check one coset: direct minimum weight equals the erasure-side bound.
-
-    Jointly-infinite cases (empty coset and no subspace excluding p) count
-    as vacuously true.
-    """
-    _check_sizes(n, phi, j, _MAX_N_ENUM)
-    p = tuple(int(b) for b in p)
-    if len(p) != j or any(b not in (0, 1) for b in p) or not any(p):
-        raise ValueError("p must be a nonzero bit tuple of the window width")
-    lhs = coset_min_weight(n, phi, p)
-    rhs = _pattern_bound(n, phi, j, sum(b << t for t, b in enumerate(p)))
-    return lhs == rhs or (math.isinf(lhs) and math.isinf(rhs))
-
-
 def cross_check_coset_weights(
     n: int, js: Sequence[int] = (1, 2, 3)
 ) -> CrossCheckReport:
@@ -372,7 +328,8 @@ def cross_check_coset_weights(
             for key in range(1, 1 << j):
                 p = tuple((key >> t) & 1 for t in range(j))
                 lhs = coset_min_weight(n, phi, p)
-                rhs = _pattern_bound(n, phi, j, key)
+                # fewest erasures whose surviving patterns exclude p
+                rhs = _fewest_where(n, phi, lambda m: (m >> key) & 1 == 0)
                 if math.isinf(lhs) and math.isinf(rhs):
                     report.skipped += 1
                 elif lhs == rhs:
@@ -391,19 +348,11 @@ def cross_check_delta_tables(m: int) -> CrossCheckReport:
         raise ValueError(f"m must be 1..3 for the exhaustive check, got {m}")
     from .distance import compute_delta_tables
 
-    n = 1 << m
-    lattice = enumerate_subspaces(3)
-    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
     report = CrossCheckReport()
     for table in compute_delta_tables(m):
-        oracle_masks = _chi3_table(n, table.phi)
-        for idx, s in enumerate(lattice):
-            hits = oracle_masks == s.mask
-            oracle = int(weights[hits].min()) if hits.any() else math.inf
-            fast = float(table.entries[idx])
-            if math.isinf(oracle) and math.isinf(fast):
-                report.checked += 1
-            elif oracle == fast:
+        for s, fast in zip(enumerate_subspaces(3), table.entries.tolist()):
+            oracle = _fewest_where(1 << m, table.phi, lambda k: k == s.mask)
+            if oracle == fast:
                 report.checked += 1
             else:
                 report.mismatches.append((table.phi, s.mask, fast, oracle))

@@ -125,6 +125,16 @@ def test_oracle_delta_and_coset(capsys):
     assert code == 0 and out.strip() == "inf"
 
 
+def test_oracle_leading_boundary_phase(capsys):
+    # at phase -2 both leading window symbols precede the block, so with
+    # nothing erased the recoverable patterns are exactly <001>
+    args = ["--n", "4", "--phi", "-2", "--j", "3", "--gens", "001"]
+    code, out, _ = run(capsys, ["oracle", "delta", *args])
+    assert code == 0 and out == "0\n"
+    code, out, _ = run(capsys, ["oracle", "xi", *args])
+    assert code == 0 and out == "\n"  # only the empty erasure set
+
+
 def test_oracle_runtime_error_exit(capsys):
     code, _, err = run(
         capsys, ["oracle", "coset", "--n", "4", "--phi", "9", "--pattern", "1"]

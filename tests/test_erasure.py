@@ -145,15 +145,19 @@ def test_dynamic_frozen_codes_keep_the_bound():
 
 
 def test_chi3_table_matches_pointwise_oracle():
-    # the bulk table and the single-set linear-algebra route must agree
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.choice([2, 4, 8]))
-        phi = int(rng.integers(-1, n))
-        table = _chi3_table(n, phi)
-        emask = int(rng.integers(0, 1 << n))
-        erased = frozenset(i for i in range(n) if (emask >> i) & 1)
-        assert table[emask] == recoverable_patterns(n, phi, 3, erased).mask
+    # the bulk table (duality) and the single-set column elimination must
+    # agree on every erasure set, including both boundary phases
+    for n in (1, 2, 4, 8):
+        for phi in range(-2, n):
+            table = _chi3_table(n, phi)
+            bad = [
+                emask
+                for emask in range(1 << n)
+                if table[emask] != recoverable_patterns(
+                    n, phi, 3, [i for i in range(n) if (emask >> i) & 1]
+                ).mask
+            ]
+            assert bad == [], (n, phi, bad)
 
 
 def test_guards():
