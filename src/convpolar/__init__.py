@@ -18,7 +18,6 @@ from .decoder import (
     subchannel_prob_bruteforce,
 )
 from .distance import (
-    DeltaTable,
     SubchannelWeights,
     compute_delta_tables,
     compute_weights,
@@ -42,7 +41,6 @@ __all__ = [
     "ChannelModel",
     "CodeSpec",
     "ConstructionResult",
-    "DeltaTable",
     "ReliabilityProfile",
     "SimResult",
     "Subspace",

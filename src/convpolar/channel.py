@@ -164,6 +164,8 @@ def run_fer(
         raise ValueError("max_trials must be >= 1")
     if batch_size < 1 or threads < 1:
         raise ValueError("batch_size and threads must be >= 1")
+    if target_errors < 0:
+        raise ValueError(f"target_errors must be >= 0, got {target_errors}")
     if channel.kind == "awgn" and channel.rate is None:
         channel = channel.with_rate(code.k / code.n)
     start = time.time()

@@ -123,6 +123,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     spec = _load_spec(args.spec)
     llr = _read_llrs(sys.stdin, spec.n)
     paths, metrics = scl_decode(spec, llr, args.list)

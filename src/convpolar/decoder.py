@@ -70,6 +70,14 @@ def _as_llr_batch(llrs) -> np.ndarray:
     return arr
 
 
+def _as_llr_vector(soft) -> np.ndarray:
+    """One LLR vector as a batch of one; any other shape is rejected."""
+    llr = np.asarray(soft, dtype=np.float64)
+    if llr.ndim != 1:
+        raise ValueError(f"expected one llr vector, got shape {llr.shape}")
+    return _as_llr_batch(llr)
+
+
 def leaf_probabilities(llr) -> np.ndarray:
     """Stack (W(0|y), W(1|y)) per symbol from LLRs, shape (..., 2).
 
@@ -96,7 +104,7 @@ def subchannel_prob_bruteforce(n: int, phi: int, u_prefix, soft) -> float:
     prefix = np.asarray(u_prefix, dtype=np.uint8)
     if not 0 <= phi < n or prefix.shape != (phi + 1,):
         raise ValueError(f"prefix length {prefix.size} does not match phase {phi}")
-    llr = _as_llr_batch(soft)[0]
+    llr = _as_llr_vector(soft)[0]
     if llr.size != n:
         raise ValueError(f"llr length {llr.size} != n {n}")
     nsuf = n - phi - 1
@@ -125,7 +133,7 @@ def ml_decode_bruteforce(code: CodeSpec, soft) -> tuple[np.ndarray, float]:
     """
     if code.k > 20:
         raise ValueError(f"k = {code.k} too large for exhaustive decoding")
-    llr = _as_llr_batch(soft)[0]
+    llr = _as_llr_vector(soft)[0]
     if llr.size != code.n:
         raise ValueError("llr length mismatch")
     msgs = (
@@ -437,16 +445,13 @@ def scl_decode(code: CodeSpec, soft, list_size: int, track_reference=None):
     a diagnostics dict with the reference path's worst pre-prune rank and
     whether it survived to the final list.
     """
-    llr = np.asarray(soft, dtype=np.float64)
-    if llr.ndim != 1:
-        raise ValueError(f"expected one llr vector, got shape {llr.shape}")
     track = None
     if track_reference is not None:
         track = np.asarray(track_reference, dtype=np.uint8)
         if track.shape != (code.n,):
             raise ValueError("reference path must be a full decision vector")
     paths, metrics, diags = _run_list_decode(
-        code, _as_llr_batch(llr), list_size, track
+        code, _as_llr_vector(soft), list_size, track
     )
     if track is None:
         return paths[0], metrics[0]

@@ -27,7 +27,6 @@ from .subspaces import (
 )
 
 __all__ = [
-    "DeltaTable",
     "SubchannelWeights",
     "compute_delta_tables",
     "compute_weights",
@@ -46,38 +45,6 @@ _FULL_IDX = subspace_index(3)[(1 << 8) - 1]
 _DECIDABLE_COLS = np.array(
     [i for i, s in enumerate(_LATTICE) if not s.contains_key(1)], dtype=np.intp
 )
-
-
-@dataclass(frozen=True, eq=False)
-class DeltaTable:
-    """Minimum-erasure table over the canonical 16-subspace order."""
-
-    phi: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=np.float64)
-        if e.shape != (16,):
-            raise ValueError(f"expected 16 entries, got shape {e.shape}")
-        if np.any(e < 0) or np.any(np.isnan(e)):
-            raise ValueError("entries must be nonnegative (inf allowed)")
-        if not np.isfinite(e).any():
-            raise ValueError("table must have at least one finite entry")
-        if self.phi >= 0:
-            if e[_FULL_IDX] != e.min():
-                raise ValueError("full-space entry must be the table minimum")
-        else:
-            # boundary patterns have a forced leading zero, so only subspaces
-            # of the trailing-free space are realizable
-            shifted_range = subspace_index(3)[85]
-            bad = [
-                i
-                for i in range(16)
-                if np.isfinite(e[i]) and (_LATTICE[i].mask | 85) != 85
-            ]
-            if bad or not np.isfinite(e[shifted_range]):
-                raise ValueError("boundary table entries outside the shifted range")
-        object.__setattr__(self, "entries", e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +101,6 @@ def _left_edge(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _to_float(table: np.ndarray) -> np.ndarray:
-    return np.where(table < _INF, table, np.inf)
-
-
 @lru_cache(maxsize=None)
 def _parity_reducer(parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left and right table indices of the 256 pairs, sorted by tau target,
@@ -181,13 +144,20 @@ def _run_levels(m: int) -> np.ndarray:
     for _ in range(m):
         tables = _advance(tables)
     assert np.all(tables[_FULL_IDX, 1:] == tables[:, 1:].min(axis=0))
+    # phase -1 patterns have a forced leading zero: only subspaces of mask 85
+    outside = [i for i, s in enumerate(_LATTICE) if s.mask | 85 != 85]
+    assert np.all(tables[outside, 0] == _INF)
     return tables
 
 
-def compute_delta_tables(m: int) -> tuple[DeltaTable, ...]:
-    """All minimum-erasure tables for n = 2**m, phases -1 .. n-1 in order."""
-    tables = _to_float(_run_levels(m).T)
-    return tuple(DeltaTable(phi, row) for phi, row in enumerate(tables, start=-1))
+def compute_delta_tables(m: int) -> np.ndarray:
+    """Minimum-erasure tables for n = 2**m as a float (n + 1, 16) array.
+
+    Row r is phase r - 1 over the canonical 16-subspace order; unreachable
+    entries are inf.
+    """
+    tables = _run_levels(m).T
+    return np.where(tables < _INF, tables, np.inf)
 
 
 def compute_weights(m: int) -> SubchannelWeights:

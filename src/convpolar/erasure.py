@@ -35,10 +35,10 @@ __all__ = [
     "cross_check_tau",
 ]
 
-_MAX_N_MEMBERSHIP = 64
+_MAX_N_WORD = 64
 _MAX_N_ENUM = 16
 _MAX_FREE_BITS = 32
-_GRAY_CHUNK = 1 << 22
+_SPLIT = 16
 
 
 @dataclass
@@ -121,7 +121,7 @@ def recoverable_patterns(n: int, phi: int, j: int, erased: Iterable[int]) -> Sub
     means the leading pattern coordinates address symbols that are never
     recoverable.
     """
-    _check_sizes(n, phi, j, _MAX_N_MEMBERSHIP)
+    _check_sizes(n, phi, j, _MAX_N_WORD)
     emask = _erasure_mask(n, erased)
     if phi < 0:
         lead = -phi
@@ -150,6 +150,14 @@ def recoverable_patterns(n: int, phi: int, j: int, erased: Iterable[int]) -> Sub
     return Subspace(j, mask)
 
 
+def _xor_span(rows: Sequence[int], start: int = 0) -> np.ndarray:
+    """start XOR every combination of rows; bit r of the index selects rows[r]."""
+    span = np.array([start], dtype=np.uint64)
+    for row in rows:
+        span = np.concatenate([span, span ^ np.uint64(row)])
+    return span
+
+
 @lru_cache(maxsize=None)
 def _annihilators() -> np.ndarray:
     """Entry v: mask of the width-3 keys orthogonal to every key in set v."""
@@ -176,9 +184,7 @@ def _chi3_table(n: int, phi: int) -> np.ndarray:
     _check_sizes(n, phi, 3, _MAX_N_ENUM)
     rows = (0,) * -min(phi, 0) + transform_row_ints(n)[max(phi, 0):]
     # codeword support of every input; bit r of the index is symbol phi + r
-    support = np.zeros(1, dtype=np.int64)
-    for row in rows:
-        support = np.concatenate([support, support ^ row])
+    support = _xor_span(rows)
     window = np.arange(support.size) & 7
     inside = np.zeros(1 << n, dtype=np.uint8)
     np.bitwise_or.at(inside, support, (1 << window).astype(np.uint8))
@@ -240,33 +246,23 @@ def min_erasures(n: int, phi: int, j: int, s: Subspace) -> int | float:
     return _fewest_where(n, phi, lambda m: (m & _width_prefix(j)) == s.mask)
 
 
-def _gray_min_weight(
+def _min_weight(
     rows: Sequence[int], start: int, include_start: bool
 ) -> int | float:
     """Minimum popcount over {start XOR any combination of rows}.
 
-    Walks combinations in Gray-code order so each step flips one row.
+    Meet in the middle: one table holds the combinations of the first _SPLIT
+    rows, and each combination of the rest is one XOR against it.
     """
-    nfree = len(rows)
-    if nfree > _MAX_FREE_BITS:
-        raise ValueError(f"{nfree} free symbols exceed the enumeration guard")
+    if len(rows) > _MAX_FREE_BITS:
+        raise ValueError(f"{len(rows)} free symbols exceed the enumeration guard")
+    low = _xor_span(rows[:_SPLIT])
     best = start.bit_count() if include_start else math.inf
-    if nfree == 0:
-        return best
-    arr = np.array(rows, dtype=np.uint64)
-    word = np.uint64(start)
-    total = (1 << nfree) - 1
-    one = np.uint64(1)
-    for lo in range(0, total, _GRAY_CHUNK):
-        cnt = min(_GRAY_CHUNK, total - lo)
-        t = np.arange(lo + 1, lo + 1 + cnt, dtype=np.uint64)
-        flip = np.bitwise_count((t & (~t + one)) - one)
-        deltas = arr[flip]
-        deltas[0] ^= word
-        np.bitwise_xor.accumulate(deltas, out=deltas)
-        best = min(best, int(np.bitwise_count(deltas).min()))
-        word = deltas[-1]
-    return int(best) if math.isfinite(best) else best
+    for i, high in enumerate(_xor_span(rows[_SPLIT:], start)):
+        words = low if i else low[1:]  # low[0] ^ start is start itself
+        if words.size:
+            best = min(best, int(np.bitwise_count(words ^ high).min()))
+    return best
 
 
 def coset_min_weight(n: int, phi: int, p: Sequence[int]) -> int | float:
@@ -277,8 +273,8 @@ def coset_min_weight(n: int, phi: int, p: Sequence[int]) -> int | float:
     block end read zero, so the coset is empty (weight +inf) when p has no
     in-range support.
     """
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
+    if n < 1 or n & (n - 1) or n > _MAX_N_WORD:
+        raise ValueError(f"n must be a power of two <= {_MAX_N_WORD}, got {n}")
     if not 0 <= phi < n:
         raise ValueError(f"phase {phi} out of range")
     p = tuple(int(b) for b in p)
@@ -299,21 +295,21 @@ def coset_min_weight(n: int, phi: int, p: Sequence[int]) -> int | float:
         if f - phi < len(p) and p[f - phi]:
             r ^= rows[pivot]
         adjusted.append(r)
-    return _gray_min_weight(adjusted, rows[pivot], include_start=True)
+    return _min_weight(adjusted, rows[pivot], include_start=True)
 
 
 def exhaustive_min_distance(code: CodeSpec) -> int:
     """Exact minimum distance by enumerating all 2^k - 1 nonzero codewords."""
     if code.k > 26:
         raise ValueError(f"k = {code.k} exceeds the enumeration guard")
-    if code.n > 64:
+    if code.n > _MAX_N_WORD:
         raise ValueError(f"n = {code.n} exceeds word width")
     from .cvpt import encode  # local import keeps module load light
 
     gen = encode(code.assemble(np.eye(code.k, dtype=np.uint8)))
     weights = 1 << np.arange(code.n, dtype=object)
     rows = [int((g.astype(object) * weights).sum()) for g in gen]
-    d = _gray_min_weight(rows, 0, include_start=False)
+    d = _min_weight(rows, 0, include_start=False)
     assert isinstance(d, int) and d >= 1
     return d
 
@@ -349,13 +345,13 @@ def cross_check_delta_tables(m: int) -> CrossCheckReport:
     from .distance import compute_delta_tables
 
     report = CrossCheckReport()
-    for table in compute_delta_tables(m):
-        for s, fast in zip(enumerate_subspaces(3), table.entries.tolist()):
-            oracle = _fewest_where(1 << m, table.phi, lambda k: k == s.mask)
+    for phi, row in enumerate(compute_delta_tables(m), start=-1):
+        for s, fast in zip(enumerate_subspaces(3), row.tolist()):
+            oracle = _fewest_where(1 << m, phi, lambda k: k == s.mask)
             if oracle == fast:
                 report.checked += 1
             else:
-                report.mismatches.append((table.phi, s.mask, fast, oracle))
+                report.mismatches.append((phi, s.mask, fast, oracle))
     return report
 
 

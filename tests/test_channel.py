@@ -190,3 +190,8 @@ def test_run_fer_single_thread_runs_batches_on_caller(monkeypatch):
     pooled = run_fer(code, ch, 2, 300, target_errors=40, seed=3, batch_size=32,
                      threads=2)
     assert (pooled.trials, pooled.frame_errors) == (serial.trials, serial.frame_errors)
+
+
+def test_run_fer_rejects_negative_target_errors():
+    with pytest.raises(ValueError, match="target_errors"):
+        run_fer(simple_code(), ChannelModel("bec", 0.3), 1, 10, target_errors=-1)

@@ -84,6 +84,18 @@ def test_decode_accepts_infinities(capsys, monkeypatch, rate1_spec):
     assert out.split()[:4] == ["0", "1", "1", "1"]
 
 
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_decode_rejects_top_below_one(capsys, monkeypatch, rate1_spec, top):
+    code, out, err = run(
+        capsys,
+        ["decode", "--spec", rate1_spec, "--list", "2", "--top", top],
+        stdin="10 10 -10 -10",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == ""
+    assert "error: --top" in err
+
+
 def test_mindist_table(capsys):
     code, out, _ = run(capsys, ["mindist", "--m", "2", "--csv"])
     assert code == 0
@@ -141,6 +153,12 @@ def test_oracle_runtime_error_exit(capsys):
     )
     assert code == 2
     assert "error" in err
+    # rows wider than one 64-bit word
+    code, out, err = run(
+        capsys, ["oracle", "coset", "--n", "128", "--phi", "120", "--pattern", "1"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_oracle_verifiers(capsys):
@@ -242,3 +260,15 @@ def test_simulate_rejects_out_of_range_seed(capsys, tmp_path, seed):
     )
     assert code == 2
     assert "error: seed" in err
+
+
+def test_simulate_rejects_negative_target_errors(capsys, tmp_path):
+    spec_path = tmp_path / "s.code"
+    spec_path.write_text("CVPS 8 4\nSEED 0\n0\n1\n2\n4\n")
+    code, out, err = run(
+        capsys,
+        ["simulate", "--spec", str(spec_path), "--channel", "bec", "--pe",
+         "0.3", "--trials", "10", "--target-errors", "-1"],
+    )
+    assert code == 2 and "trials=" not in out
+    assert "error: target_errors" in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convpolar.codespec import CodeSpec, parse_codespec, serialize_codespec
 
@@ -75,3 +77,32 @@ def test_parse_errors_carry_line_numbers():
         parse_codespec("CVPS 4 2\nSEED 0\n0\n2 : 3\n")
     with pytest.raises(ValueError):
         parse_codespec("CVPS 4 2\nSEED 0\n0\n")  # missing a frozen row
+
+
+@st.composite
+def code_specs(draw):
+    n = 1 << draw(st.integers(1, 6))
+    frozen = []
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        parts = draw(st.sets(st.integers(0, i - 1))) if i else set()
+        frozen.append((i, tuple(sorted(parts))))
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    return CodeSpec(n=n, k=n - len(frozen), seed=seed, frozen=tuple(sorted(frozen)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(code_specs())
+def test_parse_inverts_serialize(spec):
+    text = serialize_codespec(spec)
+    assert parse_codespec(text) == spec
+    assert serialize_codespec(parse_codespec(text)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(code_specs(), st.integers(0, 2**32 - 1))
+def test_assemble_satisfies_every_constraint(spec, seed):
+    msg = np.random.default_rng(seed).integers(0, 2, (5, spec.k), dtype=np.uint8)
+    u = spec.assemble(msg)
+    assert np.array_equal(u[:, list(spec.info_set)], msg)
+    for i, parts in spec.frozen:
+        assert np.array_equal(u[:, i], u[:, list(parts)].sum(axis=1) % 2), i

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convpolar.cvpt import encode, layer_split, transform_row_ints
 
@@ -71,3 +73,10 @@ def test_encode_rejects_bad_input():
     with pytest.raises(ValueError):
         encode(np.array([0, 1, 1], dtype=np.uint8))  # not a power of two
     assert encode(np.array([1], dtype=np.uint8)).tolist() == [1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_encode_is_linear(m, seed):
+    a, b = np.random.default_rng(seed).integers(0, 2, (2, 3, 1 << m), dtype=np.uint8)
+    assert np.array_equal(encode(a ^ b), encode(a) ^ encode(b))

@@ -50,6 +50,11 @@ def test_soft_input_validation():
         scl_decode(code, np.array([1.0, np.nan]), 1)
     with pytest.raises(ValueError):
         scl_decode(code, np.zeros((2, 2)), 1)  # a batch goes to scl_decode_batch
+    # nor do the brute-force oracles read row 0 of a batch
+    with pytest.raises(ValueError, match="one llr vector"):
+        subchannel_prob_bruteforce(2, 0, [0], np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="one llr vector"):
+        ml_decode_bruteforce(code, np.zeros((1, 2)))
     paths, metrics = scl_decode(code, np.zeros(2), 1)
     assert paths.shape == (1, 2) and paths.dtype == np.uint8
     assert metrics.shape == (1,)

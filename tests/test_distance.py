@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from convpolar.distance import (
-    DeltaTable,
     SubchannelWeights,
     compute_delta_tables,
     compute_weights,
@@ -14,8 +13,8 @@ from convpolar.distance import (
 from convpolar.subspaces import Subspace, enumerate_subspaces, subspace_index
 
 
-def by_mask(table, mask):
-    return float(table.entries[subspace_index(3)[mask]])
+def by_mask(row, mask):
+    return float(row[subspace_index(3)[mask]])
 
 
 def test_small_weight_tables():
@@ -25,8 +24,7 @@ def test_small_weight_tables():
 
 
 def test_delta_tables_n2_hand_values():
-    minus1, t0, t1 = compute_delta_tables(1)
-    assert minus1.phi == -1 and t0.phi == 0 and t1.phi == 1
+    minus1, t0, t1 = compute_delta_tables(1)  # rows are phases -1, 0, 1
 
     expect0 = {255: 0, 85: 1, 153: 1, 17: 2}
     for s in enumerate_subspaces(3):
@@ -44,17 +42,12 @@ def test_delta_tables_n2_hand_values():
 
 def test_table_count_and_phases():
     tables = compute_delta_tables(3)
-    assert [t.phi for t in tables] == list(range(-1, 8))
+    assert tables.shape == (9, 16)  # phases -1 .. 7
+    # from phase 0 on, nothing erased leaves the full space at cost 0
+    assert np.all(tables[1:, subspace_index(3)[255]] == 0)
 
 
-def test_delta_table_validation():
-    ok = [math.inf] * 16
-    ok[subspace_index(3)[255]] = 0.0
-    DeltaTable(0, np.array(ok))
-    bad = [math.inf] * 16
-    bad[subspace_index(3)[85]] = 0.0  # full space must be the minimum at phi >= 0
-    with pytest.raises(ValueError):
-        DeltaTable(0, np.array(bad))
+def test_subchannel_weights_validation():
     with pytest.raises(ValueError):
         SubchannelWeights(1, np.array([2, 2]))  # first weight must be 1
     with pytest.raises(ValueError):

@@ -1,12 +1,19 @@
+import functools
+import itertools
 import math
+import operator
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convpolar.codespec import CodeSpec
 from convpolar.distance import compute_weights, min_distance_bound
 from convpolar.erasure import (
     _chi3_table,
+    _min_weight,
     coset_min_weight,
     cross_check_coset_weights,
     cross_check_delta_tables,
@@ -171,5 +178,38 @@ def test_guards():
         coset_min_weight(6, 0, (1,))
     with pytest.raises(ValueError, match="out of range"):
         coset_min_weight(4, 4, (1,))
+    with pytest.raises(ValueError, match="power of two <= 64"):
+        coset_min_weight(128, 120, (1,))  # rows wider than one 64-bit word
     with pytest.raises(ValueError):
         min_erasures(64, 0, 3, Subspace.from_vectors(3, ()))
+
+
+def test_min_weight_equals_subset_brute_force():
+    # Python ints over itertools subsets; 0..18 rows straddle the 16-row split
+    rnd = random.Random(12)
+    for nrows in range(19):
+        for width in (1, 5, 16, 33, 64):
+            if nrows > 14 and width not in (33, 64):
+                continue  # keep the 2^nrows brute force to a few seconds
+            rows = [rnd.getrandbits(width) for _ in range(nrows)]
+            start = rnd.getrandbits(width)
+            nonempty = min(
+                (
+                    functools.reduce(operator.xor, combo, start).bit_count()
+                    for r in range(1, nrows + 1)
+                    for combo in itertools.combinations(rows, r)
+                ),
+                default=math.inf,
+            )
+            with_start = min(nonempty, start.bit_count())
+            assert _min_weight(rows, start, True) == with_start, (nrows, width)
+            assert _min_weight(rows, start, False) == nonempty, (nrows, width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_weights_equal_coset_enumeration(data):
+    m = data.draw(st.integers(0, 6))
+    n = 1 << m
+    phi = data.draw(st.integers(max(0, n - 21), n - 1))  # n - phi - 1 <= 20
+    assert compute_weights(m).d[phi] == coset_min_weight(n, phi, (1,))
