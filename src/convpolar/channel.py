@@ -2,21 +2,23 @@
 
 Randomness is counter-based: trial ``t`` of a run seeded with ``s`` always
 draws from a Philox generator keyed by the pair (s, t), so results are
-bit-identical regardless of batch size, thread count, or whether earlier
-trials were simulated at all.  Gaussian noise comes from the inverse normal
-CDF applied to uniforms, which keeps the draw count per trial fixed.
+bit-identical regardless of batch size, of how many lanes / worker processes
+decode the batches, or of whether earlier trials were simulated at all.
+Gaussian noise comes from the inverse normal CDF applied to uniforms, which
+keeps the draw count per trial fixed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 from scipy.special import ndtri
@@ -28,6 +30,7 @@ from .decoder import scl_decode_batch
 __all__ = ["ChannelModel", "SimResult", "trial_rng", "transmit", "run_fer"]
 
 _KINDS = ("bec", "awgn")
+_FORK = get_context("fork") if "fork" in get_all_start_methods() else None
 
 
 @dataclass(frozen=True)
@@ -123,13 +126,11 @@ def _simulate_batch(
     trials: range,
 ) -> np.ndarray:
     """Frame-error flags for a contiguous range of trial indices."""
-    b = len(trials)
-    k, n = code.k, code.n
-    msgs = np.empty((b, k), dtype=np.uint8)
-    llrs = np.empty((b, n))
+    msgs = np.empty((len(trials), code.k), dtype=np.uint8)
+    llrs = np.empty((len(trials), code.n))
     for row, t in enumerate(trials):
         rng = trial_rng(seed, t)
-        msgs[row] = rng.integers(0, 2, k, dtype=np.uint8)
+        msgs[row] = rng.integers(0, 2, code.k, dtype=np.uint8)
         llrs[row] = transmit(channel, encode(code.assemble(msgs[row])), rng)
     paths, _ = scl_decode_batch(code, llrs, list_size)
     decided = paths[:, 0][:, list(code.info_set)]
@@ -141,6 +142,12 @@ def _run_now(fn, *args) -> Future:
     future = Future()
     future.set_result(fn(*args))
     return future
+
+
+def _lanes(threads: int, batches: int) -> int:
+    """Batches decoded at once: capped by the batches and the usable CPUs."""
+    cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    return min(threads, batches, len(cpus(0)))
 
 
 def run_fer(
@@ -158,7 +165,12 @@ def run_fer(
     Runs until ``max_trials`` trials or, if ``target_errors`` > 0, until the
     trial at which the cumulative error count first reaches that target
     (whichever is earlier).  The stopping point is evaluated in trial order,
-    so any batch size or thread count reproduces the same result.
+    so any batch size or lane count reproduces the same result.
+
+    ``threads`` caps the lanes (batches decoded at once), as do the number of
+    batches and of usable CPUs.  The caller decodes every lanes-th batch; the
+    rest go to lanes - 1 worker processes, forked where the OS offers it so
+    that they inherit the imported library and its lazy caches.
     """
     if max_trials < 1:
         raise ValueError("max_trials must be >= 1")
@@ -169,20 +181,20 @@ def run_fer(
     if channel.kind == "awgn" and channel.rate is None:
         channel = channel.with_rate(code.k / code.n)
     start = time.time()
-    todo = (
+    lanes = _lanes(threads, -(-max_trials // batch_size))
+    todo = enumerate(
         range(lo, min(lo + batch_size, max_trials))
         for lo in range(0, max_trials, batch_size)
     )
     errors = done = 0
-    # one thread runs its batches itself; more get a pool of workers
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = ProcessPoolExecutor(lanes - 1, mp_context=_FORK) if lanes > 1 else None
     with pool or nullcontext():
-        submit = partial(
-            pool.submit if pool else _run_now,
-            _simulate_batch, code, channel, list_size, seed,
-        )
-        # one batch per worker in flight, counted in trial order
-        queued = deque(map(submit, itertools.islice(todo, threads)))
+        def submit(i, trials):
+            run = _run_now if i % lanes == lanes - 1 else pool.submit
+            return run(_simulate_batch, code, channel, list_size, seed, trials)
+
+        # one batch per lane in flight, counted in trial order
+        queued = deque(itertools.starmap(submit, itertools.islice(todo, lanes)))
         while queued:
             hits = errors + np.cumsum(queued.popleft().result())
             if target_errors and hits[-1] >= target_errors:
@@ -194,7 +206,7 @@ def run_fer(
                 break
             done += hits.size
             errors = int(hits[-1])
-            queued.extend(map(submit, itertools.islice(todo, 1)))
+            queued.extend(itertools.starmap(submit, itertools.islice(todo, 1)))
     return SimResult(
         trials=done,
         frame_errors=errors,

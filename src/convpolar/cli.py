@@ -95,7 +95,7 @@ def _cmd_construct(args) -> int:
     channel = _channel_from_args(args, k / n)
     print(f"seed {args.seed}", file=sys.stderr)
     profile = genie_reliability(n, channel, args.trials, args.seed)
-    if f > 0:
+    if f:  # build_cvps rejects f outside [0, n-k]
         weights = compute_weights(n.bit_length() - 1)
         result = build_cvps(n, k, f, profile, weights, args.seed,
                             d_tie_break=args.d_tie_break)
@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--target-errors", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="most lanes: the caller plus worker processes")
     p.add_argument("--csv", help="append a result row to this file")
     p.set_defaults(fn=_cmd_simulate)
 

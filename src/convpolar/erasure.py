@@ -318,6 +318,8 @@ def cross_check_coset_weights(
     n: int, js: Sequence[int] = (1, 2, 3)
 ) -> CrossCheckReport:
     """Sweep every phase, width and nonzero pattern of a block length."""
+    for j in js:
+        _check_sizes(n, 0, j, _MAX_N_WORD)
     report = CrossCheckReport()
     for phi in range(n):
         for j in js:

@@ -1,5 +1,6 @@
-import threading
+import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,32 @@ from convpolar import channel
 from convpolar.channel import ChannelModel, SimResult, run_fer, transmit, trial_rng
 from convpolar.codespec import CodeSpec
 from convpolar.cvpt import encode
+
+
+_REAL_BATCH = channel._simulate_batch
+
+
+# Batches may run in forked workers, so the stand-ins for _simulate_batch are
+# module-level (picklable) and log each batch start as a file "<pid>-<start>".
+def _log_start(log_dir, trials):
+    (log_dir / f"{os.getpid()}-{trials.start}").touch()
+
+
+def _logged_starts(log_dir):
+    return [tuple(map(int, f.name.split("-"))) for f in log_dir.iterdir()]
+
+
+def _recording_batch(log_dir, code, ch, list_size, seed, trials):
+    _log_start(log_dir, trials)
+    return _REAL_BATCH(code, ch, list_size, seed, trials)
+
+
+def _counting_batch(log_dir, code, ch, list_size, seed, trials):
+    _log_start(log_dir, trials)
+    if trials.start == 0:
+        time.sleep(0.05)  # let the other lanes pick up their batches
+        return np.ones(len(trials), dtype=bool)
+    return np.zeros(len(trials), dtype=bool)
 
 
 def simple_code():
@@ -143,29 +170,21 @@ def test_run_fer_rate_autofill():
     assert res.channel.rate == pytest.approx(0.5)
 
 
-def test_run_fer_early_stop_cancels_batches_not_started(monkeypatch):
-    started = []
-    lock = threading.Lock()
-
-    def counting_batch(code, channel, list_size, seed, trials):
-        with lock:
-            started.append(trials.start)
-        if trials.start == 0:
-            time.sleep(0.05)  # let the other workers pick up their batches
-            return np.ones(len(trials), dtype=bool)
-        return np.zeros(len(trials), dtype=bool)
-
-    monkeypatch.setattr(channel, "_simulate_batch", counting_batch)
+def test_run_fer_early_stop_cancels_batches_not_started(monkeypatch, tmp_path):
     code, ch = simple_code(), ChannelModel("bec", 0.3)
-    serial = run_fer(code, ch, 1, 1000, target_errors=3, batch_size=10)
-    assert started == [0]
-    assert (serial.trials, serial.frame_errors) == (3, 3)
-    for threads in (2, 3):
-        started.clear()
+    for threads in (1, 2, 3):
+        log_dir = tmp_path / str(threads)
+        log_dir.mkdir()
+        monkeypatch.setattr(channel, "_simulate_batch",
+                            partial(_counting_batch, log_dir))
         res = run_fer(code, ch, 1, 1000, target_errors=3, batch_size=10,
                       threads=threads)
+        started = [start for _, start in _logged_starts(log_dir)]
+        assert 0 in started
         assert len(started) <= threads + 1
-        assert (res.trials, res.frame_errors) == (serial.trials, serial.frame_errors)
+        if threads == 1:
+            assert started == [0]
+        assert (res.trials, res.frame_errors) == (3, 3)
 
 
 def test_run_fer_rejects_bad_batching():
@@ -175,21 +194,47 @@ def test_run_fer_rejects_bad_batching():
         run_fer(simple_code(), ChannelModel("bec", 0.3), 1, 10, threads=0)
 
 
-def test_run_fer_single_thread_runs_batches_on_caller(monkeypatch):
-    threads_seen = set()
-    real_batch = channel._simulate_batch
-
-    def recording_batch(*args):
-        threads_seen.add(threading.get_ident())
-        return real_batch(*args)
-
-    monkeypatch.setattr(channel, "_simulate_batch", recording_batch)
+def test_run_fer_single_thread_runs_batches_on_caller(monkeypatch, tmp_path):
+    # two usable CPUs, whatever the host, so that threads=2 means two lanes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code, ch = simple_code(), ChannelModel("awgn", 1.0)
-    serial = run_fer(code, ch, 2, 300, target_errors=40, seed=3, batch_size=32)
-    assert threads_seen == {threading.get_ident()}
-    pooled = run_fer(code, ch, 2, 300, target_errors=40, seed=3, batch_size=32,
-                     threads=2)
-    assert (pooled.trials, pooled.frame_errors) == (serial.trials, serial.frame_errors)
+    counts, pids = {}, {}
+    for threads in (1, 2):
+        log_dir = tmp_path / str(threads)
+        log_dir.mkdir()
+        monkeypatch.setattr(channel, "_simulate_batch",
+                            partial(_recording_batch, log_dir))
+        res = run_fer(code, ch, 2, 300, target_errors=40, seed=3, batch_size=32,
+                      threads=threads)
+        counts[threads] = (res.trials, res.frame_errors)
+        pids[threads] = {pid for pid, _ in _logged_starts(log_dir)}
+    assert pids[1] == {os.getpid()}
+    assert len(pids[2]) == 2 and os.getpid() in pids[2]
+    assert counts[2] == counts[1]
+
+
+def test_run_fer_lanes_capped_by_batches(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(channel, "_simulate_batch",
+                        partial(_recording_batch, tmp_path))
+    code, ch = simple_code(), ChannelModel("bec", 0.3)
+    res = run_fer(code, ch, 1, 64, batch_size=32, threads=10**6)
+    starts = _logged_starts(tmp_path)
+    assert sorted(start for _, start in starts) == [0, 32]  # 2 batches: 2 lanes
+    pids = {pid for pid, _ in starts}
+    assert len(pids) == 2 and os.getpid() in pids  # one forked worker
+    assert res.trials == 64
+
+
+def test_lane_count_rule(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    assert channel._lanes(1, 100) == 1
+    assert channel._lanes(3, 100) == 3
+    assert channel._lanes(10**6, 2) == 2
+    assert channel._lanes(10**6, 100) == 8
+    assert channel._lanes(4, 1) == 1
 
 
 def test_run_fer_rejects_negative_target_errors():

@@ -193,6 +193,23 @@ def test_construct_writes_parseable_file_and_prints_seed(capsys, tmp_path):
     assert spec.n == 16 and spec.k == 8 and spec.seed == 5
 
 
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_oracle_verify_theorem1_rejects_bad_block_length(capsys, n):
+    code, out, err = run(capsys, ["oracle", "verify-theorem1", "--n", n])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_construct_rejects_negative_dynamic_count(capsys):
+    code, out, err = run(
+        capsys, ["construct", "--n", "8", "--k", "4", "--f", "-1", "--channel",
+                 "bec", "--pe", "0.3", "--trials", "50"],
+    )
+    assert code == 2 and out == ""
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
 def test_construct_deterministic(capsys, tmp_path):
     args = ["construct", "--n", "16", "--k", "8", "--f", "2", "--channel",
             "bec", "--pe", "0.4", "--trials", "1500", "--seed", "9"]

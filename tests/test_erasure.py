@@ -182,6 +182,9 @@ def test_guards():
         coset_min_weight(128, 120, (1,))  # rows wider than one 64-bit word
     with pytest.raises(ValueError):
         min_erasures(64, 0, 3, Subspace.from_vectors(3, ()))
+    for n in (0, -4):  # an empty sweep must not pass as a verified theorem
+        with pytest.raises(ValueError, match="power of two <= 64"):
+            cross_check_coset_weights(n)
 
 
 def test_min_weight_equals_subset_brute_force():
