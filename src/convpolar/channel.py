@@ -2,10 +2,9 @@
 
 Randomness is counter-based: trial ``t`` of a run seeded with ``s`` always
 draws from a Philox generator keyed by the pair (s, t), so results are
-bit-identical regardless of batch size, of how many lanes / worker processes
-decode the batches, or of whether earlier trials were simulated at all.
-Gaussian noise comes from the inverse normal CDF applied to uniforms, which
-keeps the draw count per trial fixed.
+bit-identical regardless of batch size, lanes / worker processes, or whether
+earlier trials were simulated at all.  Gaussian noise comes from the inverse
+normal CDF applied to uniforms, which keeps the draw count per trial fixed.
 """
 
 from __future__ import annotations
@@ -126,11 +125,13 @@ def _simulate_batch(
     trials: range,
 ) -> np.ndarray:
     """Frame-error flags for a contiguous range of trial indices."""
-    msgs = np.empty((len(trials), code.k), dtype=np.uint8)
-    llrs = np.empty((len(trials), code.n))
+    b = len(trials)
+    k, n = code.k, code.n
+    msgs = np.empty((b, k), dtype=np.uint8)
+    llrs = np.empty((b, n))
     for row, t in enumerate(trials):
         rng = trial_rng(seed, t)
-        msgs[row] = rng.integers(0, 2, code.k, dtype=np.uint8)
+        msgs[row] = rng.integers(0, 2, k, dtype=np.uint8)
         llrs[row] = transmit(channel, encode(code.assemble(msgs[row])), rng)
     paths, _ = scl_decode_batch(code, llrs, list_size)
     decided = paths[:, 0][:, list(code.info_set)]
@@ -170,7 +171,9 @@ def run_fer(
     ``threads`` caps the lanes (batches decoded at once), as do the number of
     batches and of usable CPUs.  The caller decodes every lanes-th batch; the
     rest go to lanes - 1 worker processes, forked where the OS offers it so
-    that they inherit the imported library and its lazy caches.
+    that they inherit the imported library and its lazy caches.  A fork
+    copies only the calling thread: with threads > 1, no other Python thread
+    may hold a lock then, so multi-threaded callers should pass threads=1.
     """
     if max_trials < 1:
         raise ValueError("max_trials must be >= 1")

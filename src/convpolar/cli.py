@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-errors", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="most lanes: the caller plus worker processes")
+                   help="most lanes: the caller plus forked worker processes")
     p.add_argument("--csv", help="append a result row to this file")
     p.set_defaults(fn=_cmd_simulate)
 

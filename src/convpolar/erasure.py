@@ -318,7 +318,7 @@ def cross_check_coset_weights(
     n: int, js: Sequence[int] = (1, 2, 3)
 ) -> CrossCheckReport:
     """Sweep every phase, width and nonzero pattern of a block length."""
-    for j in js:
+    for j in (1, *js):  # width 1 checks n even when js is empty
         _check_sizes(n, 0, j, _MAX_N_WORD)
     report = CrossCheckReport()
     for phi in range(n):

@@ -1,4 +1,5 @@
 import os
+import threading
 import time
 from functools import partial
 
@@ -16,12 +17,14 @@ _REAL_BATCH = channel._simulate_batch
 
 
 # Batches may run in forked workers, so the stand-ins for _simulate_batch are
-# module-level (picklable) and log each batch start as a file "<pid>-<start>".
+# module-level (picklable) and log each batch start as a file
+# "<pid>-<thread id>-<start>".
 def _log_start(log_dir, trials):
-    (log_dir / f"{os.getpid()}-{trials.start}").touch()
+    (log_dir / f"{os.getpid()}-{threading.get_ident()}-{trials.start}").touch()
 
 
 def _logged_starts(log_dir):
+    """(pid, thread id, start) of every batch begun."""
     return [tuple(map(int, f.name.split("-"))) for f in log_dir.iterdir()]
 
 
@@ -179,7 +182,7 @@ def test_run_fer_early_stop_cancels_batches_not_started(monkeypatch, tmp_path):
                             partial(_counting_batch, log_dir))
         res = run_fer(code, ch, 1, 1000, target_errors=3, batch_size=10,
                       threads=threads)
-        started = [start for _, start in _logged_starts(log_dir)]
+        started = [start for *_, start in _logged_starts(log_dir)]
         assert 0 in started
         assert len(started) <= threads + 1
         if threads == 1:
@@ -198,7 +201,7 @@ def test_run_fer_single_thread_runs_batches_on_caller(monkeypatch, tmp_path):
     # two usable CPUs, whatever the host, so that threads=2 means two lanes
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code, ch = simple_code(), ChannelModel("awgn", 1.0)
-    counts, pids = {}, {}
+    counts, lanes = {}, {}
     for threads in (1, 2):
         log_dir = tmp_path / str(threads)
         log_dir.mkdir()
@@ -207,9 +210,10 @@ def test_run_fer_single_thread_runs_batches_on_caller(monkeypatch, tmp_path):
         res = run_fer(code, ch, 2, 300, target_errors=40, seed=3, batch_size=32,
                       threads=threads)
         counts[threads] = (res.trials, res.frame_errors)
-        pids[threads] = {pid for pid, _ in _logged_starts(log_dir)}
-    assert pids[1] == {os.getpid()}
-    assert len(pids[2]) == 2 and os.getpid() in pids[2]
+        lanes[threads] = {(pid, tid) for pid, tid, _ in _logged_starts(log_dir)}
+    caller = (os.getpid(), threading.get_ident())
+    assert lanes[1] == {caller}
+    assert len({pid for pid, _ in lanes[2]}) == 2 and caller in lanes[2]
     assert counts[2] == counts[1]
 
 
@@ -221,8 +225,8 @@ def test_run_fer_lanes_capped_by_batches(monkeypatch, tmp_path):
     code, ch = simple_code(), ChannelModel("bec", 0.3)
     res = run_fer(code, ch, 1, 64, batch_size=32, threads=10**6)
     starts = _logged_starts(tmp_path)
-    assert sorted(start for _, start in starts) == [0, 32]  # 2 batches: 2 lanes
-    pids = {pid for pid, _ in starts}
+    assert sorted(start for *_, start in starts) == [0, 32]  # 2 batches: 2 lanes
+    pids = {pid for pid, *_ in starts}
     assert len(pids) == 2 and os.getpid() in pids  # one forked worker
     assert res.trials == 64
 

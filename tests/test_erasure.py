@@ -185,6 +185,8 @@ def test_guards():
     for n in (0, -4):  # an empty sweep must not pass as a verified theorem
         with pytest.raises(ValueError, match="power of two <= 64"):
             cross_check_coset_weights(n)
+        with pytest.raises(ValueError, match="power of two <= 64"):
+            cross_check_coset_weights(n, js=())
 
 
 def test_min_weight_equals_subset_brute_force():
