@@ -14,13 +14,11 @@ import math
 import os
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
-from scipy.special import ndtri
 
 from .codespec import CodeSpec
 from .cvpt import encode
@@ -29,7 +27,6 @@ from .decoder import scl_decode_batch
 __all__ = ["ChannelModel", "SimResult", "trial_rng", "transmit", "run_fer"]
 
 _KINDS = ("bec", "awgn")
-_FORK = get_context("fork") if "fork" in get_all_start_methods() else None
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _ndtri():
+    """scipy's inverse normal CDF, imported on first use: only AWGN needs it."""
+    from scipy.special import ndtri
+
+    return ndtri
+
+
 def transmit(channel: ChannelModel, codeword, rng: np.random.Generator) -> np.ndarray:
     """One codeword through the channel; returns per-symbol LLRs."""
     cw = np.asarray(codeword, dtype=np.uint8)
@@ -87,7 +91,7 @@ def transmit(channel: ChannelModel, codeword, rng: np.random.Generator) -> np.nd
         llr = np.where(cw == 0, np.inf, -np.inf)
         return np.where(erased, 0.0, llr)
     sigma2 = channel.sigma_squared()
-    noise = ndtri(rng.random(cw.shape)) * np.sqrt(sigma2)
+    noise = _ndtri()(rng.random(cw.shape)) * np.sqrt(sigma2)
     y = 1.0 - 2.0 * cw.astype(np.float64) + noise
     return 2.0 * y / sigma2
 
@@ -125,14 +129,10 @@ def _simulate_batch(
     trials: range,
 ) -> np.ndarray:
     """Frame-error flags for a contiguous range of trial indices."""
-    b = len(trials)
-    k, n = code.k, code.n
-    msgs = np.empty((b, k), dtype=np.uint8)
-    llrs = np.empty((b, n))
-    for row, t in enumerate(trials):
-        rng = trial_rng(seed, t)
-        msgs[row] = rng.integers(0, 2, k, dtype=np.uint8)
-        llrs[row] = transmit(channel, encode(code.assemble(msgs[row])), rng)
+    rngs = [trial_rng(seed, t) for t in trials]
+    msgs = np.array([rng.integers(0, 2, code.k, dtype=np.uint8) for rng in rngs])
+    cw = encode(code.assemble(msgs))
+    llrs = np.array([transmit(channel, c, rng) for c, rng in zip(cw, rngs)])
     paths, _ = scl_decode_batch(code, llrs, list_size)
     decided = paths[:, 0][:, list(code.info_set)]
     return (decided != msgs).any(axis=1)
@@ -190,7 +190,16 @@ def run_fer(
         for lo in range(0, max_trials, batch_size)
     )
     errors = done = 0
-    pool = ProcessPoolExecutor(lanes - 1, mp_context=_FORK) if lanes > 1 else None
+    pool = None
+    if lanes > 1:  # imported here, so that single-lane runs never load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if channel.kind == "awgn":
+            _ndtri()  # before the fork, so that no worker imports scipy itself
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        pool = ProcessPoolExecutor(lanes - 1, mp_context=context)
     with pool or nullcontext():
         def submit(i, trials):
             run = _run_now if i % lanes == lanes - 1 else pool.submit

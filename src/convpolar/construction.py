@@ -83,15 +83,11 @@ def genie_reliability(
     err_counts = np.zeros(n, dtype=np.int64)
     for lo in range(0, trials, batch_size):
         batch = range(lo, min(lo + batch_size, trials))
-        b = len(batch)
-        u = np.empty((b, n), dtype=np.uint8)
-        llrs = np.empty((b, n))
-        coins = np.empty((b, n), dtype=bool)
-        for row, t in enumerate(batch):
-            rng = trial_rng(seed, t)
-            u[row] = rng.integers(0, 2, n, dtype=np.uint8)
-            llrs[row] = transmit(channel, encode(u[row]), rng)
-            coins[row] = rng.random(n) < 0.5
+        rngs = [trial_rng(seed, t) for t in batch]
+        u = np.array([rng.integers(0, 2, n, dtype=np.uint8) for rng in rngs])
+        cw = encode(u)
+        llrs = np.array([transmit(channel, c, rng) for c, rng in zip(cw, rngs)])
+        coins = np.array([rng.random(n) < 0.5 for rng in rngs])
         values, _ = forced_path_tables(llrs, u)
         idx = u.astype(np.intp)
         true_val = np.take_along_axis(values, idx[..., None], axis=2)[..., 0]

@@ -9,11 +9,12 @@ recently committed values, so each node stores a five-slot ring of commits
 instead of its whole history.  Every (node, phase) pair is built exactly
 once, giving O(n log n) work per decode.
 
-Tables are entry-major: depth d holds one float64 array (8, B, L, 2**d),
-entry 4a + 2b + c first, then trial, path slot and node.  Nodes sit in
-bit-reversed order, so the children of the depth-d nodes are the two
-contiguous halves of depth d + 1.  Committed symbols rebase a child table by
-selecting between it and its view with the leading symbol reversed.
+Tables are node-major: depth d holds one float64 array (8, 2**d, L, B),
+entry 4a + 2b + c first, then node, path slot and trial.  Nodes sit in
+bit-reversed order, so the children of the depth-d nodes are the two halves
+of depth d + 1, each one contiguous block per entry, and every operation runs
+over whole (node, path, trial) slabs.  Committed symbols rebase a child table
+by selecting between it and its view with the leading symbol reversed.
 
 Probabilities are stored in the linear domain and rescaled by an exact power
 of two after every build (the scale is chosen per trial, so every path sees
@@ -46,7 +47,6 @@ __all__ = [
     "scl_decode",
     "scl_decode_batch",
     "forced_path_tables",
-    "subchannel_logprobs",
 ]
 
 _LN2 = math.log(2.0)
@@ -213,12 +213,12 @@ class _TreeDecoder:
         self.B, self.n = b, n
         self.m = m = n.bit_length() - 1
         leaf = leaf_probabilities(llrs[:, _bit_reversal(m)])
-        self.leaf = np.ascontiguousarray(np.moveaxis(leaf, -1, 0))[:, :, None]
-        self.tbl = [np.empty((8, b, list_size, 1 << d)) for d in range(m)]
+        self.leaf = np.ascontiguousarray(leaf.transpose(2, 1, 0))[:, :, None]
+        self.tbl = [np.empty((8, 1 << d, list_size, b)) for d in range(m)]
         self.exp = [np.zeros(b, dtype=np.int64) for _ in range(m)]
         depths = max(m - 1, 1)
         self.rings = [
-            np.zeros((_RING, b, list_size, 1 << d), dtype=bool)
+            np.zeros((_RING, 1 << d, list_size, b), dtype=bool)
             for d in range(depths)
         ]
         self.head = [0] * depths
@@ -232,18 +232,18 @@ class _TreeDecoder:
     # -- path state ---------------------------------------------------------
 
     def _gather(self, arr: np.ndarray, r: int) -> np.ndarray:
-        """arr[:, b, anc[r, b, i]] for the active slots i."""
-        k, b, lsz, nodes = arr.shape
-        rows = (self.anc[r, :, : self.active] + self._bidx * lsz).ravel()
-        out = arr.reshape(k, b * lsz, nodes).take(rows, axis=1)
-        return out.reshape(k, b, self.active, nodes)
+        """arr[:, :, anc[r, b, i], b] for the active slots i."""
+        k, nodes, lsz, b = arr.shape
+        cols = (self.anc[r, :, : self.active] * b + self._bidx).T.ravel()
+        out = arr.reshape(k, nodes, lsz * b).take(cols, axis=2)
+        return out.reshape(k, nodes, self.active, b)
 
     def _settle(self, r: int) -> None:
         self.anc[r, :, : self.active] = np.arange(self.active)
         self.moved[r] = False
 
     def _ring(self, d: int) -> np.ndarray:
-        """Commit rings (slot, B, active, nodes) of depth d, moved onto the paths."""
+        """Commit rings (slot, nodes, active, B) of depth d, moved onto the paths."""
         a, r = self.active, self.m + d
         if self.moved[r]:
             self.rings[d][:, :, :a] = self._gather(self.rings[d], r)
@@ -263,7 +263,7 @@ class _TreeDecoder:
 
     def commit(self, t: int, bits: np.ndarray) -> None:
         """Push the (B, active) decisions of phase t through the rings."""
-        cur, idx = bits[:, :, None] != 0, t
+        cur, idx = (bits.T != 0)[None], t
         for d in range(len(self.rings)):
             ring, h = self._ring(d), self.head[d]
             ring[h] = cur  # replaces the oldest commit
@@ -271,9 +271,9 @@ class _TreeDecoder:
             if idx < 2 or idx % 2 or d + 1 == len(self.rings):
                 return
             half = 1 << d
-            nxt = np.empty(cur.shape[:2] + (2 * half,), dtype=bool)
-            np.bitwise_xor(ring[(h + 4) % _RING], cur, out=nxt[..., half:])
-            np.bitwise_xor(nxt[..., half:], ring[(h + 3) % _RING], out=nxt[..., :half])
+            nxt = np.empty((2 * half,) + cur.shape[1:], dtype=bool)
+            np.bitwise_xor(ring[(h + 4) % _RING], cur, out=nxt[half:])
+            np.bitwise_xor(nxt[half:], ring[(h + 3) % _RING], out=nxt[:half])
             cur, idx = nxt, (idx - 2) // 2
 
     # -- building -------------------------------------------------------------
@@ -300,7 +300,7 @@ class _TreeDecoder:
         else:
             kids = self.tbl[d + 1][:, :, : self.active]
         half = 1 << d
-        return kids[..., :half], kids[..., half:]
+        return kids[:, :half], kids[:, half:]
 
     def _build(self, d: int, p: int) -> None:
         at, bt = self._children(d)
@@ -325,12 +325,11 @@ class _TreeDecoder:
             else:
                 af = _flip(at, s1 ^ self._window(d, 1))
                 _combine(out, af, _flip(bt, s1), _EVEN, tmp)
-        mx = out.max(axis=0).max(axis=(1, 2))
-        e = np.frexp(mx)[1].astype(np.int64)
+        e = np.frexp(out.max(axis=(0, 1, 2)))[1].astype(np.int64)
         if e.min(initial=1) > -1022:  # 2**(1-e) is a double: same rounding
-            out *= np.ldexp(1.0, 1 - e)[:, None, None]
+            out *= np.ldexp(1.0, 1 - e)
         else:
-            np.ldexp(out, (1 - e)[:, None, None], out=out)
+            np.ldexp(out, 1 - e, out=out)
         child_exp = self.exp[d + 1] if d + 1 < self.m else 0
         self.exp[d] = 2 * child_exp + (e - 1)
         if self.moved[d]:
@@ -342,11 +341,11 @@ class _TreeDecoder:
 
     def extract(self) -> np.ndarray:
         """Candidate values (B, active, 2) at the current phase."""
-        ring, h = self._ring(0)[..., 0], self.head[0]
+        ring, h = self._ring(0)[:, 0], self.head[0]
         pair = 2 * ring[(h + 3) % _RING].astype(np.intp) + ring[(h + 4) % _RING]
-        top = self.tbl[0][:, :, : self.active, 0].reshape(4, 2, *pair.shape)
+        top = self.tbl[0][:, 0, : self.active].reshape(4, 2, *pair.shape)
         vals = np.take_along_axis(top, pair[None, None], axis=0)[0]
-        return np.moveaxis(vals, 0, -1)
+        return vals.T
 
 
 def _run_list_decode(
@@ -493,11 +492,3 @@ def _forced_rows(llrs: np.ndarray, forced: np.ndarray):
         exps[:, t] = eng.exp[0]
         eng.commit(t, forced[:, t : t + 1])
     return values, exps
-
-
-def subchannel_logprobs(soft, forced_u) -> np.ndarray:
-    """log W(u_0..u_{t-1}, c | y) for both c at every phase t, shape (n, 2)."""
-    values, exps = forced_path_tables(soft, forced_u)
-    with np.errstate(divide="ignore"):
-        out = np.log(values[0])
-    return out + exps[0][:, None] * _LN2

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 import threading
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +247,23 @@ def test_lane_count_rule(monkeypatch):
 def test_run_fer_rejects_negative_target_errors():
     with pytest.raises(ValueError, match="target_errors"):
         run_fer(simple_code(), ChannelModel("bec", 0.3), 1, 10, target_errors=-1)
+
+
+def test_import_loads_scipy_and_multiprocessing_only_when_used():
+    script = """
+import sys
+import numpy as np
+import convpolar
+from convpolar import ChannelModel, CodeSpec, run_fer, transmit, trial_rng
+assert not {"scipy", "multiprocessing"} & set(sys.modules)
+code = CodeSpec(n=4, k=2, seed=0, frozen=((0, ()), (1, ())))
+res = run_fer(code, ChannelModel("awgn", 2.0), 2, 8, seed=1, batch_size=4)
+assert res.trials == 8 and "scipy" in sys.modules
+assert "multiprocessing" not in sys.modules
+llr = transmit(ChannelModel("awgn", 2.0, 0.5), np.zeros(8, np.uint8), trial_rng(0, 0))
+assert llr.shape == (8,) and np.isfinite(llr).all()
+"""
+    src = str(Path(channel.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)

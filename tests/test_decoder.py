@@ -7,12 +7,12 @@ import pytest
 from convpolar.codespec import CodeSpec
 from convpolar.cvpt import encode
 from convpolar.decoder import (
+    forced_path_tables,
     leaf_probabilities,
     ml_decode_bruteforce,
     sc_decode,
     scl_decode,
     scl_decode_batch,
-    subchannel_logprobs,
     subchannel_prob_bruteforce,
 )
 
@@ -33,6 +33,14 @@ def random_code(rng, n, k, dynamic=True):
             parts = tuple(j for j in prev if rng.random() < 0.5)
         frozen.append((i, parts))
     return CodeSpec(n=n, k=k, seed=0, frozen=tuple(frozen))
+
+
+def subchannel_logprobs(soft, forced_u):
+    """log W(u_0..u_{t-1}, c | y) for both c at every phase t, shape (n, 2)."""
+    values, exps = forced_path_tables(soft, forced_u)
+    with np.errstate(divide="ignore"):
+        out = np.log(values[0])
+    return out + exps[0][:, None] * math.log(2.0)
 
 
 def test_leaf_probabilities():

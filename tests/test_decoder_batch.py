@@ -116,3 +116,35 @@ def test_small_table_budget_gives_identical_output(monkeypatch):
     p2, m2 = scl_decode_batch(code, scl_llrs, 8)
     assert np.array_equal(values, v2) and np.array_equal(exps, e2)
     assert np.array_equal(paths, p2) and np.array_equal(metrics, m2)
+
+
+def _deep_golden_inputs():
+    rng = np.random.default_rng(20261020)
+    specials = np.array([np.inf, -np.inf, 0.0, 745.0, -745.0])
+    llrs = rng.normal(1.0, 2.0, (4, 1024))
+    llrs[0, :5] = specials
+    llrs[1] = rng.choice(specials, 1024)
+    u = rng.integers(0, 2, (4, 1024), dtype=np.uint8)
+    scl = []
+    for n, k, list_size in ((512, 256, 8), (128, 64, 32)):
+        rows = rng.normal(0.8, 1.5, (6, n))
+        rows[0, :5] = specials
+        rows[1, ::3] = rng.choice(specials, rows[1, ::3].size)
+        scl.append((_random_code(rng, n, k), rows, list_size))
+    return llrs, u, scl
+
+
+# Pins the deep tree depths (6 and up), which GOLDEN's n = 64 and n = 32
+# inputs never reach; recorded before the tables became node-major.
+DEEP_GOLDEN = (
+    "c03f2996bf6be0ccc37019393125f448e062a0b1501c0c05593547fc4b29e6c4",
+    "f6877bd9f73ad9ee8138279adc1bc4091b4c2cc08b45982f4bb66323986b23c2",
+    "5946d86e1d29903b07aa7bf64c9e4ed5404299498c8a671abf4f79e3183091cd",
+)
+
+
+def test_deep_golden_outputs():
+    llrs, u, scl = _deep_golden_inputs()
+    got = [_sha(*forced_path_tables(llrs, u))]
+    got += [_sha(*scl_decode_batch(code, rows, lsz)) for code, rows, lsz in scl]
+    assert tuple(got) == DEEP_GOLDEN
