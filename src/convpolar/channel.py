@@ -132,7 +132,9 @@ def _simulate_batch(
     rngs = [trial_rng(seed, t) for t in trials]
     msgs = np.array([rng.integers(0, 2, code.k, dtype=np.uint8) for rng in rngs])
     cw = encode(code.assemble(msgs))
-    llrs = np.array([transmit(channel, c, rng) for c, rng in zip(cw, rngs)])
+    llrs = np.empty(cw.shape)  # filled row by row: no list of rows stays live
+    for row, rng in enumerate(rngs):
+        llrs[row] = transmit(channel, cw[row], rng)
     paths, _ = scl_decode_batch(code, llrs, list_size)
     decided = paths[:, 0][:, list(code.info_set)]
     return (decided != msgs).any(axis=1)

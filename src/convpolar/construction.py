@@ -86,7 +86,9 @@ def genie_reliability(
         rngs = [trial_rng(seed, t) for t in batch]
         u = np.array([rng.integers(0, 2, n, dtype=np.uint8) for rng in rngs])
         cw = encode(u)
-        llrs = np.array([transmit(channel, c, rng) for c, rng in zip(cw, rngs)])
+        llrs = np.empty(cw.shape)  # filled row by row: no list of rows stays live
+        for row, rng in enumerate(rngs):
+            llrs[row] = transmit(channel, cw[row], rng)
         coins = np.array([rng.random(n) < 0.5 for rng in rngs])
         values, _ = forced_path_tables(llrs, u)
         idx = u.astype(np.intp)
