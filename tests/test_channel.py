@@ -253,7 +253,6 @@ def test_import_loads_scipy_and_multiprocessing_only_when_used():
     script = """
 import sys
 import numpy as np
-import convpolar
 from convpolar import ChannelModel, CodeSpec, run_fer, transmit, trial_rng
 assert not {"scipy", "multiprocessing"} & set(sys.modules)
 code = CodeSpec(n=4, k=2, seed=0, frozen=((0, ()), (1, ())))
