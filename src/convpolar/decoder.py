@@ -12,9 +12,13 @@ once, giving O(n log n) work per decode.
 Tables are node-major: depth d holds one float64 array (8, 2**d, L, B),
 entry 4a + 2b + c first, then node, path slot and trial.  Nodes sit in
 bit-reversed order, so the children of the depth-d nodes are the two halves
-of depth d + 1, each one contiguous block per entry, and every operation runs
-over whole (node, path, trial) slabs.  Committed symbols rebase a child table
-by selecting between it and its view with the leading symbol reversed.
+of depth d + 1, each one contiguous block per entry.  A depth is built in
+blocks of nodes whose (node, path, trial) slabs hold about _BLOCK doubles, so
+that a block's children, scratch and output stay in cache.  Children whose
+paths moved are gathered into one workspace the decoder owns; committed
+symbols rebase children into that workspace, or in place there, by swapping
+entries e and e ^ (entries / 2) with a masked XOR of their bit patterns,
+exact for every value and with no branch on the symbols.
 
 Probabilities are stored in the linear domain and rescaled by an exact power
 of two after every build (the scale is chosen per trial, so every path sees
@@ -53,6 +57,9 @@ _LN2 = math.log(2.0)
 # Decoder tables take rows * list_size * (n - 1) * 64 bytes; batch decodes
 # split their rows so that one chunk stays within this budget.
 TABLE_BUDGET_BYTES = 256 << 20
+# A depth is built in blocks of nodes whose entry slabs hold about this many
+# doubles, so that a block's children, scratch and output stay in cache.
+_BLOCK = 1 << 14
 
 
 def _as_llr_batch(llrs) -> np.ndarray:
@@ -76,6 +83,14 @@ def _as_llr_vector(soft) -> np.ndarray:
     if llr.ndim != 1:
         raise ValueError(f"expected one llr vector, got shape {llr.shape}")
     return _as_llr_batch(llr)
+
+
+def _as_decisions(u) -> np.ndarray:
+    """Decision symbols as uint8; any value but 0 and 1 is rejected."""
+    arr = np.asarray(u)
+    if not np.isin(arr, (0, 1)).all():
+        raise ValueError("decision symbols must be 0 or 1")
+    return arr.astype(np.uint8)
 
 
 def leaf_probabilities(llr) -> np.ndarray:
@@ -191,10 +206,20 @@ def _combine(out, x, y, recipe, tmp) -> None:
                 o += acc
 
 
-def _flip(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Entry e of t becomes t[e ^ (len(t) / 2)] where s is set."""
-    h = t.reshape(2, -1, *t.shape[1:])
-    return np.where(s, h[::-1], h).reshape(t.shape)
+def _flip(t: np.ndarray, s: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+    """Entry e of out becomes t[e ^ (len(t) / 2)] where s is set, else t[e].
+
+    A masked XOR swap of the float bit patterns, so it is exact for every
+    value and has no branch on s; out may be t, and work is (5, *s.shape)
+    int64 scratch.
+    """
+    bits, res, half = t.view(np.int64), out.view(np.int64), len(t) // 2
+    x, mask = work[:half], work[4]
+    np.negative(s, dtype=np.int64, out=mask)
+    np.bitwise_xor(bits[:half], bits[half:], out=x)
+    x &= mask
+    np.bitwise_xor(bits[:half], x, out=res[:half])
+    np.bitwise_xor(bits[half:], x, out=res[half:])
 
 
 def _bit_reversal(m: int) -> np.ndarray:
@@ -228,15 +253,16 @@ class _TreeDecoder:
         self.moved = [False] * (m + depths)
         self.active = 1
         self._bidx = np.arange(b)[:, None]
+        # slabs of one block, each one node or at most _BLOCK doubles: 16 of
+        # children (entry e of the left half at row 2e, of the right at
+        # 2e + 1), then 5 of flip and combine scratch
+        self.ws = np.empty(21 * min(max(_BLOCK, list_size * b), n * list_size * b))
 
     # -- path state ---------------------------------------------------------
 
-    def _gather(self, arr: np.ndarray, r: int) -> np.ndarray:
-        """arr[:, :, anc[r, b, i], b] for the active slots i."""
-        k, nodes, lsz, b = arr.shape
-        cols = (self.anc[r, :, : self.active] * b + self._bidx).T.ravel()
-        out = arr.reshape(k, nodes, lsz * b).take(cols, axis=2)
-        return out.reshape(k, nodes, self.active, b)
+    def _cols(self, r: int) -> np.ndarray:
+        """Flat (slot, trial) columns that row r's active paths continue."""
+        return (self.anc[r, :, : self.active] * self.B + self._bidx).T.ravel()
 
     def _settle(self, r: int) -> None:
         self.anc[r, :, : self.active] = np.arange(self.active)
@@ -246,7 +272,10 @@ class _TreeDecoder:
         """Commit rings (slot, nodes, active, B) of depth d, moved onto the paths."""
         a, r = self.active, self.m + d
         if self.moved[r]:
-            self.rings[d][:, :, :a] = self._gather(self.rings[d], r)
+            ring = self.rings[d]
+            k, nodes, lsz, b = ring.shape
+            moved = ring.reshape(k, nodes, lsz * b).take(self._cols(r), axis=2)
+            ring[:, :, :a] = moved.reshape(k, nodes, a, b)
             self._settle(r)
         return self.rings[d][:, :, :a]
 
@@ -292,39 +321,65 @@ class _TreeDecoder:
         ev.reverse()
         return ev
 
-    def _children(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        if d == self.m - 1:
-            kids = self.leaf
-        elif self.moved[d + 1]:
-            kids = self._gather(self.tbl[d + 1], d + 1)
+    def _children(self, d: int, lo: int, kids: np.ndarray):
+        """Both child halves of depth-d nodes lo.., on the active paths.
+
+        Views of the leaves or of the next depth's table, or, if that table's
+        paths have moved, its rows gathered into kids (16, nodes, active, B).
+        """
+        r, (_, k, a, b), half = d + 1, kids.shape, 1 << d
+        if r == self.m:
+            src = self.leaf
+        elif not self.moved[r]:
+            src = self.tbl[r][:, :, :a]
         else:
-            kids = self.tbl[d + 1][:, :, : self.active]
-        half = 1 << d
-        return kids[:, :half], kids[:, half:]
+            lsz = self.tbl[r].shape[2]
+            rows = self.tbl[r].reshape(16, half, lsz * b)[:, lo : lo + k]
+            cols, out = self._cols(r), kids.reshape(16, k, a * b)
+            # take copies a strided source first, and mode="raise" buffers out
+            step = 16 if rows.flags.c_contiguous else 1
+            for i in range(0, 16, step):
+                np.take(rows[i : i + step], cols, 2, out[i : i + step], mode="clip")
+            return kids[0::2], kids[1::2]
+        return src[:, lo : lo + k], src[:, half + lo : half + lo + k]
 
     def _build(self, d: int, p: int) -> None:
-        at, bt = self._children(d)
-        out = self.tbl[d][:, :, : self.active]
-        tmp = np.empty((2,) + out.shape[1:])
+        a, b, half = self.active, self.B, 1 << d
+        out = self.tbl[d][:, :, :a]
+        leaf = d == self.m - 1  # phases 0 and 1 only, with no flips
         last = p == (self.n >> d) - 1
-        if p == 0:
-            _combine(out[:2], at, bt, _START, tmp)
-            out.reshape(4, 2, *out.shape[1:])[1:] = out[:2]
-        elif last and d == self.m - 1:
-            _combine(out[:4], at, bt, _PAIR, tmp)
-            out[4:] = out[:4]
-        else:
+        if p and not leaf:
             s1 = self._window(d, 0)
-            if last:
+            if last or not p % 2:
                 s12 = s1 ^ self._window(d, 1)
+            if last:
                 s123 = s12 ^ self._window(d, 2)
-                ah = _flip(np.where(s123, at[4:], at[:4]), s1)
-                _combine(out, ah, np.where(s12, bt[4:], bt[:4]), _LAST, tmp)
+        nodes = min(half, max(1, _BLOCK // max(1, a * b)))
+        for lo in range(0, half, nodes):
+            blk = slice(lo, min(lo + nodes, half))
+            k = blk.stop - lo
+            ws = self.ws[: 21 * k * a * b].reshape(21, k, a, b)
+            o, tmp, work = out[:, blk], ws[16:18], ws[16:].view(np.int64)
+            at, bt = self._children(d, lo, ws[:16])
+            fa, fb = ws[0:16:2], ws[1:16:2]  # flipped children
+            if p == 0:
+                _combine(o[:2], at, bt, _START, tmp)
+                o.reshape(4, 2, *o.shape[1:])[1:] = o[:2]
+            elif leaf:
+                _combine(o[:4], at, bt, _PAIR, tmp)
+                o[4:] = o[:4]
+            elif last:
+                _flip(at, s123[blk], work, fa)
+                _flip(fa[:4], s1[blk], work, fa[:4])
+                _flip(bt, s12[blk], work, fb)
+                _combine(o, fa[:4], fb[:4], _LAST, tmp)
             elif p % 2:
-                _combine(out, _flip(at, s1), bt, _ODD, tmp)
+                _flip(at, s1[blk], work, fa)
+                _combine(o, fa, bt, _ODD, tmp)
             else:
-                af = _flip(at, s1 ^ self._window(d, 1))
-                _combine(out, af, _flip(bt, s1), _EVEN, tmp)
+                _flip(at, s12[blk], work, fa)
+                _flip(bt, s1[blk], work, fb)
+                _combine(o, fa, fb, _EVEN, tmp)
         e = np.frexp(out.max(axis=(0, 1, 2)))[1].astype(np.int64)
         if e.min(initial=1) > -1022:  # 2**(1-e) is a double: same rounding
             out *= np.ldexp(1.0, 1 - e)
@@ -380,7 +435,7 @@ def _run_list_decode(
                 bit[:] = (parity[..., c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
             metric = np.where(bit, vals[..., 1], vals[..., 0])
         else:
-            scores = vals.reshape(b, -1)
+            scores = vals.reshape(b, 2 * eng.active)
             ranked = np.argsort(-scores, axis=1, kind="stable")
             keep = np.sort(ranked[:, :list_size], axis=1)
             if track is not None:
@@ -446,7 +501,7 @@ def scl_decode(code: CodeSpec, soft, list_size: int, track_reference=None):
     """
     track = None
     if track_reference is not None:
-        track = np.asarray(track_reference, dtype=np.uint8)
+        track = _as_decisions(track_reference)
         if track.shape != (code.n,):
             raise ValueError("reference path must be a full decision vector")
     paths, metrics, diags = _run_list_decode(
@@ -473,7 +528,7 @@ def forced_path_tables(llrs, forced_u) -> tuple[np.ndarray, np.ndarray]:
     of forced_u[b], scaled by 2**exponents[b, t].
     """
     batch = _as_llr_batch(llrs)
-    forced = np.asarray(forced_u, dtype=np.uint8)
+    forced = _as_decisions(forced_u)
     if forced.ndim == 1:
         forced = forced[None, :]
     if forced.shape != batch.shape:

@@ -238,3 +238,26 @@ def test_decode_rejects_mismatched_length():
     code = rate1(8)
     with pytest.raises(ValueError):
         scl_decode(code, np.zeros(4), 1)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_non_binary_decisions_rejected(bad):
+    code = random_code(np.random.default_rng(11), 16, 8)
+    u = np.zeros(16)
+    u[::3] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        forced_path_tables(np.ones(16), u)
+    with pytest.raises(ValueError, match="0 or 1"):
+        scl_decode(code, np.ones(16), 4, track_reference=u)
+
+
+def test_empty_batches_shaped_like_one_row():
+    code = random_code(np.random.default_rng(12), 16, 3)
+    for list_size in (1, 4, 32):
+        one = scl_decode_batch(code, np.zeros((1, 16)), list_size)
+        none = scl_decode_batch(code, np.zeros((0, 16)), list_size)
+        for got, row in zip(none, one):
+            assert got.shape == (0,) + row.shape[1:] and got.dtype == row.dtype
+    values, exps = forced_path_tables(np.zeros((0, 16)), np.zeros((0, 16)))
+    assert values.shape == (0, 16, 2) and values.dtype == np.float64
+    assert exps.shape == (0, 16) and exps.dtype == np.int64

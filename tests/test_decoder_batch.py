@@ -11,6 +11,7 @@ round as on the machine that recorded them (x86-64, numpy 2.4).
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,37 @@ def test_forced_tables_batch_equals_rows(llrs, seed):
         assert np.array_equal(exps[row], e[0])
 
 
+# table values the decoder meets: signed zeros and infinities, subnormals,
+# and the leaf probabilities of +-745 LLRs (the smallest subnormal and 1)
+_TABLE_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, 1.0, 2.2e-308]),
+    st.sampled_from(decoder.leaf_probabilities([745.0, -745.0]).ravel().tolist()),
+    st.floats(allow_nan=False, allow_subnormal=True),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([4, 8]),
+    st.tuples(*[st.integers(1, 3)] * 3),
+    st.data(),
+)
+def test_flip_equals_select_bit_for_bit(entries, shape, data):
+    size = entries * int(np.prod(shape))
+    t = np.array(data.draw(st.lists(_TABLE_VALUE, min_size=size, max_size=size)))
+    t = t.reshape(entries, *shape)
+    s = np.array(data.draw(st.lists(st.booleans(), min_size=size // entries,
+                                    max_size=size // entries))).reshape(shape)
+    h = t.reshape(2, -1, *shape)
+    want = np.where(s, h[::-1], h).reshape(t.shape)
+    work = np.empty((5,) + shape, dtype=np.int64)
+    out = np.empty_like(t)
+    decoder._flip(t, s, work, out)
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+    decoder._flip(t, s, work, t)  # in place
+    assert np.array_equal(t.view(np.int64), want.view(np.int64))
+
+
 def _sha(*arrays) -> str:
     digest = hashlib.sha256()
     for arr in arrays:
@@ -116,6 +148,14 @@ def test_small_table_budget_gives_identical_output(monkeypatch):
     p2, m2 = scl_decode_batch(code, scl_llrs, 8)
     assert np.array_equal(values, v2) and np.array_equal(exps, e2)
     assert np.array_equal(paths, p2) and np.array_equal(metrics, m2)
+
+
+@pytest.mark.parametrize("block", [1, 96])
+def test_node_blocks_give_identical_output(monkeypatch, block):
+    # every depth of the golden inputs fits in one default block; 1 builds one
+    # node per block, 96 leaves a partial last block at several depths
+    monkeypatch.setattr(decoder, "_BLOCK", block)
+    assert _golden_digests() == GOLDEN
 
 
 def _deep_golden_inputs():
