@@ -6,8 +6,17 @@ the last three input symbols of that node, valid at the node's current phase;
 tables of the two children combine into the parent table in O(1) table
 operations.  Earlier node symbols enter only through short XOR windows of
 recently committed values, so each node stores a five-slot ring of commits
-instead of its whole history.  Every (node, phase) pair is built exactly
+instead of its whole history.  Every (node, phase) pair is built at most
 once, giving O(n log n) work per decode.
+
+A table carries no state from one phase to the next; only the rings do, and
+every phase commits its symbol to them.  The root table is read only at the
+phases that decide: information phases and the last phase (frozen phases,
+static or dynamic, take their symbol without it).  The depth-d build of
+phase p at time t is read by root phases [t, stop): stop = 1 at t = 0, n
+at the depth's last phase p = (n >> d) - 1, whose table is never rebuilt,
+and t + 2**d otherwise.  A build runs only if one of those phases decides,
+the convolutional analogue of skipping rate-0 nodes.
 
 Tables are node-major: depth d holds one float64 array (8, 2**d, L, B),
 entry 4a + 2b + c first, then node, path slot and trial.  Nodes sit in
@@ -31,7 +40,8 @@ slot to the slot its table and rings were written for, and they are gathered
 when next used.  The list decoder backtracks per-phase decision and parent
 columns at the end, and takes dynamic frozen symbols from per-path running
 parities.  Everything is batched over B trials times up to L paths, in row
-chunks whose tables fit TABLE_BUDGET_BYTES.
+chunks whose tables fit TABLE_BUDGET_BYTES.  At most min(L, 2**k) paths are
+ever active, so that is the number of path slots allocated.
 """
 
 from __future__ import annotations
@@ -54,8 +64,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# Decoder tables take rows * list_size * (n - 1) * 64 bytes; batch decodes
-# split their rows so that one chunk stays within this budget.
+# Decoder tables take rows * slots * (n - 1) * 64 bytes; batch decodes split
+# their rows so that one chunk stays within this budget, and a list whose one
+# row exceeds it is rejected.
 TABLE_BUDGET_BYTES = 256 << 20
 # A depth is built in blocks of nodes whose entry slabs hold about this many
 # doubles, so that a block's children, scratch and output stay in cache.
@@ -227,16 +238,38 @@ def _bit_reversal(m: int) -> np.ndarray:
 
 
 class _TreeDecoder:
-    """Batched recursion-tree workspace for one block length and list size."""
+    """Batched recursion-tree workspace for one block length and list size.
 
-    def __init__(self, llrs: np.ndarray, list_size: int) -> None:
+    reads marks the phases whose root table is read (None: every phase);
+    builds that no marked phase reads are skipped.
+    """
+
+    def __init__(self, llrs: np.ndarray, list_size: int, reads=None) -> None:
         b, n = llrs.shape
         if n < 2 or n & (n - 1):
             raise ValueError(f"block length must be a power of two >= 2, got {n}")
         if list_size < 1:
             raise ValueError(f"list size must be >= 1, got {list_size}")
+        if list_size * (n - 1) * 64 > TABLE_BUDGET_BYTES:
+            raise ValueError(
+                f"{list_size} paths at length {n} need more than the "
+                f"{TABLE_BUDGET_BYTES}-byte table budget per row"
+            )
         self.B, self.n = b, n
         self.m = m = n.bit_length() - 1
+        # the builds of each phase that a read phase reads: the depth-d build
+        # of phase p at time t is read by root phases [t, stop)
+        read_at = np.arange(n) if reads is None else np.where(reads, np.arange(n), n)
+        next_read = np.minimum.accumulate(read_at[::-1])[::-1].tolist()
+
+        def stop(t, d, p):
+            return 1 if t == 0 else n if p == (n >> d) - 1 else t + (1 << d)
+
+        self.plan = [
+            [(d, p) for d, p in self._events(t) if next_read[t] < stop(t, d, p)]
+            for t in range(n)
+        ]
+        self._builds = [0] * m  # builds run per depth
         leaf = leaf_probabilities(llrs[:, _bit_reversal(m)])
         self.leaf = np.ascontiguousarray(leaf.transpose(2, 1, 0))[:, :, None]
         self.tbl = [np.empty((8, 1 << d, list_size, b)) for d in range(m)]
@@ -389,18 +422,18 @@ class _TreeDecoder:
         self.exp[d] = 2 * child_exp + (e - 1)
         if self.moved[d]:
             self._settle(d)
+        self._builds[d] += 1
 
     def build_phase(self, t: int) -> None:
-        for d, p in self._events(t):
+        for d, p in self.plan[t]:
             self._build(d, p)
 
     def extract(self) -> np.ndarray:
         """Candidate values (B, active, 2) at the current phase."""
         ring, h = self._ring(0)[:, 0], self.head[0]
-        pair = 2 * ring[(h + 3) % _RING].astype(np.intp) + ring[(h + 4) % _RING]
-        top = self.tbl[0][:, 0, : self.active].reshape(4, 2, *pair.shape)
-        vals = np.take_along_axis(top, pair[None, None], axis=0)[0]
-        return vals.T
+        top = self.tbl[0][:, 0, : self.active]
+        half = np.where(ring[(h + 3) % _RING], top[4:], top[:4])
+        return np.where(ring[(h + 4) % _RING], half[2:], half[:2]).T
 
 
 def _run_list_decode(
@@ -410,11 +443,14 @@ def _run_list_decode(
     track: np.ndarray | None = None,
 ):
     """Core SCL loop: (paths, metrics, (reference worst rank, reference kept))."""
-    eng = _TreeDecoder(llrs, list_size)
-    n, b = eng.n, eng.B
+    b, n = llrs.shape
     if code.n != n:
         raise ValueError(f"code length {code.n} != input length {n}")
     frozen = dict(code.frozen)
+    # decisions read the root table at information phases and the last phase
+    reads = np.array([t not in frozen for t in range(n)])
+    reads[-1] = True
+    eng = _TreeDecoder(llrs, min(list_size, 1 << code.k), reads)
     # one running parity bit per path for each dynamic frozen symbol
     dynamic = {i: c for c, i in enumerate(i for i, parts in code.frozen if parts)}
     masks = np.zeros((n, (len(dynamic) + 63) // 64), dtype=np.uint64)
@@ -426,16 +462,17 @@ def _run_list_decode(
     bidx = eng._bidx
     for t in range(n):
         eng.build_phase(t)
-        vals = eng.extract()
         parent = None
         if t in frozen:
-            bit = np.zeros(vals.shape[:2], dtype=np.uint8)
+            bit = np.zeros((b, eng.active), dtype=np.uint8)
             if t in dynamic:
                 c = dynamic[t]
                 bit[:] = (parity[..., c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
-            metric = np.where(bit, vals[..., 1], vals[..., 0])
+            if t == n - 1:
+                vals = eng.extract()
+                metric = np.where(bit, vals[..., 1], vals[..., 0])
         else:
-            scores = vals.reshape(b, 2 * eng.active)
+            scores = eng.extract().reshape(b, 2 * eng.active)
             ranked = np.argsort(-scores, axis=1, kind="stable")
             keep = np.sort(ranked[:, :list_size], axis=1)
             if track is not None:
@@ -469,10 +506,10 @@ def _run_list_decode(
     return paths, metrics, (ref_rank, ref_alive)
 
 
-def _in_chunks(decode, list_size: int, *arrays) -> tuple[np.ndarray, ...]:
+def _in_chunks(decode, slots: int, *arrays) -> tuple[np.ndarray, ...]:
     """decode over row chunks of arrays whose tables fit TABLE_BUDGET_BYTES."""
     b, n = arrays[0].shape
-    rows = max(1, TABLE_BUDGET_BYTES // max(1, list_size * (n - 1) * 64))
+    rows = max(1, TABLE_BUDGET_BYTES // max(1, slots * (n - 1) * 64))
     parts = [
         decode(*(arr[lo : lo + rows] for arr in arrays))
         for lo in range(0, max(b, 1), rows)
@@ -486,7 +523,7 @@ def scl_decode_batch(
     """Batched list decode: (paths (B, L', n), metrics (B, L')), best first."""
     return _in_chunks(
         lambda rows: _run_list_decode(code, rows, list_size)[:2],
-        list_size,
+        min(list_size, 1 << code.k),
         _as_llr_batch(llrs),
     )
 

@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from convpolar import decoder
 from convpolar.cli import main
 from convpolar.codespec import parse_codespec
 
@@ -289,3 +290,53 @@ def test_simulate_rejects_negative_target_errors(capsys, tmp_path):
     )
     assert code == 2 and "trials=" not in out
     assert "error: target_errors" in err
+
+
+@pytest.fixture
+def k8_spec(capsys, tmp_path):
+    path = tmp_path / "k8.code"
+    code, _, _ = run(capsys, [
+        "construct", "--n", "16", "--k", "8", "--channel", "bec", "--pe",
+        "0.3", "--trials", "50", "--out", str(path),
+    ])
+    assert code == 0
+    return str(path)
+
+
+HUGE_LIST = str(10**8)
+
+
+def test_decode_huge_list_equals_full_list(capsys, monkeypatch, k8_spec):
+    llrs = " ".join(f"{x:.3f}" for x in np.linspace(-2.0, 3.0, 16))
+    outs = []
+    for list_size in (HUGE_LIST, "256"):
+        code, out, _ = run(
+            capsys,
+            ["decode", "--spec", k8_spec, "--list", list_size, "--top", "300"],
+            stdin=llrs, monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 256
+
+
+def test_simulate_huge_list(capsys, k8_spec):
+    code, out, _ = run(capsys, [
+        "simulate", "--spec", k8_spec, "--channel", "bec", "--pe", "0.3",
+        "--list", HUGE_LIST, "--trials", "50",
+    ])
+    assert code == 0 and "trials=50" in out
+
+
+def test_list_over_table_budget_exits_2(capsys, monkeypatch, k8_spec):
+    monkeypatch.setattr(decoder, "TABLE_BUDGET_BYTES", 1000)
+    code, out, err = run(
+        capsys, ["decode", "--spec", k8_spec, "--list", HUGE_LIST],
+        stdin=" ".join(["1.0"] * 16), monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == "" and "budget" in err
+    code, out, err = run(capsys, [
+        "simulate", "--spec", k8_spec, "--channel", "bec", "--pe", "0.3",
+        "--list", HUGE_LIST, "--trials", "50",
+    ])
+    assert code == 2 and "trials=" not in out and "budget" in err

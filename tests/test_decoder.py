@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convpolar.codespec import CodeSpec
 from convpolar.cvpt import encode
@@ -261,3 +263,39 @@ def test_empty_batches_shaped_like_one_row():
     values, exps = forced_path_tables(np.zeros((0, 16)), np.zeros((0, 16)))
     assert values.shape == (0, 16, 2) and values.dtype == np.float64
     assert exps.shape == (0, 16) and exps.dtype == np.int64
+
+
+@st.composite
+def _skip_codes(draw):
+    """Codes with long frozen runs, often a frozen last phase, and dynamic
+    frozen symbols on any earlier positions."""
+    n = draw(st.sampled_from([4, 8, 16]))
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, n)), min_size=1))
+    is_frozen = [f for f, length in runs for _ in range(length)][:n]
+    is_frozen += [draw(st.booleans())] * (n - len(is_frozen))
+    if all(is_frozen):
+        is_frozen[draw(st.integers(0, n - 1))] = False
+    frozen = tuple(
+        (i, tuple(j for j in range(i) if draw(st.booleans())))
+        for i in range(n)
+        if is_frozen[i]
+    )
+    return CodeSpec(n=n, k=n - len(frozen), seed=0, frozen=frozen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_skip_codes(), st.integers(1, 8), st.data())
+def test_list_metrics_equal_bruteforce_with_skipped_builds(code, list_size, data):
+    # the decoder builds only the tables that a decision reads; every
+    # returned path's metric must still be its exact log-probability
+    n = code.n
+    rows = data.draw(st.integers(1, 3))
+    llrs = np.array(data.draw(st.lists(
+        st.floats(-12.0, 12.0), min_size=rows * n, max_size=rows * n,
+    ))).reshape(rows, n)
+    paths, metrics = scl_decode_batch(code, llrs, list_size)
+    assert paths.shape[1] == min(list_size, 1 << code.k)
+    for llr, row_paths, row_metrics in zip(llrs, paths, metrics):
+        for path, metric in zip(row_paths, row_metrics):
+            ref = math.log(subchannel_prob_bruteforce(n, n - 1, path, llr))
+            assert abs(metric - ref) <= 1e-9

@@ -9,6 +9,7 @@ round as on the machine that recorded them (x86-64, numpy 2.4).
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convpolar import decoder
-from convpolar.codespec import CodeSpec
+from convpolar.codespec import CodeSpec, parse_codespec
 from convpolar.decoder import forced_path_tables, scl_decode_batch
 
 
@@ -142,8 +143,9 @@ def test_small_table_budget_gives_identical_output(monkeypatch):
     llrs, u, code, scl_llrs = _golden_inputs()
     values, exps = forced_path_tables(llrs, u)
     paths, metrics = scl_decode_batch(code, scl_llrs, 8)
-    # room for three rows of forced tables and one row of list tables
-    monkeypatch.setattr(decoder, "TABLE_BUDGET_BYTES", 3 * 63 * 64)
+    # room for one row of list tables (8 paths at n = 32), which is three
+    # rows of forced tables (one path at n = 64)
+    monkeypatch.setattr(decoder, "TABLE_BUDGET_BYTES", 8 * 31 * 64)
     v2, e2 = forced_path_tables(llrs, u)
     p2, m2 = scl_decode_batch(code, scl_llrs, 8)
     assert np.array_equal(values, v2) and np.array_equal(exps, e2)
@@ -188,3 +190,56 @@ def test_deep_golden_outputs():
     got = [_sha(*forced_path_tables(llrs, u))]
     got += [_sha(*scl_decode_batch(code, rows, lsz)) for code, rows, lsz in scl]
     assert tuple(got) == DEEP_GOLDEN
+
+
+SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Every _TreeDecoder made while the test runs, in order."""
+    made = []
+
+    class Recorded(decoder._TreeDecoder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(decoder, "_TreeDecoder", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("name, builds", [
+    ("n128_k64_f8.code", 147),
+    ("n512_k256_f16.code", 597),
+])
+def test_list_decoder_skips_unread_builds(engines, name, builds):
+    code = parse_codespec((SPECS / name).read_text())
+    llrs = np.random.default_rng(0).normal(1.0, 1.0, (2, code.n))
+    scl_decode_batch(code, llrs, 8)
+    assert sum(engines[0]._builds) == builds
+    forced_path_tables(llrs, np.zeros(llrs.shape, dtype=np.uint8))
+    assert engines[1]._builds == [code.n >> d for d in range(code.n.bit_length() - 1)]
+
+
+def _k8_code():
+    return _random_code(np.random.default_rng(31), 16, 8)
+
+
+def test_huge_list_allocates_at_most_two_to_the_k_paths(engines):
+    code = _k8_code()
+    llrs = np.random.default_rng(32).normal(0.5, 1.5, (5, 16))
+    paths, metrics = scl_decode_batch(code, llrs, 10**8)
+    assert engines[0].tbl[0].shape[2] == 256
+    want_paths, want_metrics = scl_decode_batch(code, llrs, 256)
+    assert np.array_equal(paths, want_paths)
+    assert np.array_equal(metrics, want_metrics)
+
+
+def test_list_over_table_budget_rejected(monkeypatch):
+    code = _k8_code()
+    # one row of 256 paths at n = 16 needs 256 * 15 * 64 bytes
+    monkeypatch.setattr(decoder, "TABLE_BUDGET_BYTES", 256 * 15 * 64 - 1)
+    with pytest.raises(ValueError, match="budget"):
+        scl_decode_batch(code, np.zeros((1, 16)), 10**8)
+    scl_decode_batch(code, np.zeros((1, 16)), 128)
